@@ -4,7 +4,7 @@ Subpackage map:
 
 - ntheory: shared elementary number theory (sieves, Tonelli-Shanks, ...)
 - forms: binary quadratic forms, composition, class groups
-- sweep: bulk class-number computation (compiled kernel with fallback)
+- sweep: bulk class-number computation (one numpy kernel, one shared table)
 - abelian: structure of finite abelian groups, suitability tests
 - finitefield: small prime-power fields, dihedral trace sets
 - dihedral: class characters and eigenform coefficients

@@ -22,9 +22,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, aut_order
-from .forms import fundamental_mask
 from .ntheory import factorize, primes_up_to
-from .sweep import ResourceLimitError
+from .sweep import check_budget, class_numbers
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -103,9 +102,7 @@ def weighted_sum_coprime(
 ) -> Fraction:
     """Sum of 1/#Aut(G) over all abelian G with #G <= x coprime to
     every prime in S.  Exact."""
-    cap = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if x > cap:
-        raise ResourceLimitError(f"x = {x} exceeds the enumeration budget {cap}")
+    check_budget("x", x, budget, DEFAULT_ENUM_BUDGET, "enumeration")
     total = Fraction(0)
     for n in _coprime_orders(frozenset(S), x):
         for G in enumerate_groups(n):
@@ -132,9 +129,7 @@ def partial_average(
 ) -> Fraction:
     """The f-weighted share of the total weight over orders <= x
     coprime to S: an exact finite stand-in for the limiting average."""
-    cap = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if x > cap:
-        raise ResourceLimitError(f"x = {x} exceeds the enumeration budget {cap}")
+    check_budget("x", x, budget, DEFAULT_ENUM_BUDGET, "enumeration")
     num = Fraction(0)
     den = Fraction(0)
     for n in _coprime_orders(frozenset(S), x):
@@ -186,11 +181,9 @@ def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityCom
     """
     if p == 2 or p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise ValueError("comparison is defined for odd primes only")
-    from .density import _check_class_budget, _class_numbers_up_to
-
-    _check_class_budget(X, None)
-    counts = _class_numbers_up_to(X, workers=workers).copy()
-    counts[~fundamental_mask(X)] = 0
+    counts = class_numbers(X, workers=workers)
     fund = int(np.count_nonzero(counts))
+    if fund == 0:
+        raise ValueError(f"no fundamental discriminants up to {X}")
     divisible = int(np.count_nonzero((counts > 0) & (counts % p == 0)))
     return DivisibilityComparison(p, X, divisible, fund, predicted_divisibility(p))

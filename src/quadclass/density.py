@@ -7,11 +7,11 @@ Integer sets pair a scalar membership predicate with a vectorized
 mask builder; the two are spot-checked against each other.
 
 The scans at the bottom (exponent-3, power-of-two census, suitable
-divisors, p-group fractions) sit on top of the batch class-number
-sweep and a read-through class-group cache.  Where a class-group
-structure is needed (not just the order h), a valuation screen on h
-settles most discriminants instantly and only the leftover cases pay
-for form enumeration.
+divisors, p-group fractions) sit on top of the shared class-number
+table (sweep.class_numbers) and a read-through class-group cache.
+Where a class-group structure is needed (not just the order h), a
+valuation screen on h settles most discriminants instantly and only
+the leftover cases pay for form enumeration.
 """
 
 from __future__ import annotations
@@ -24,13 +24,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, is_p_suitable
-from .forms import ClassGroupCache, class_group, fundamental_mask
+from .forms import ClassGroupCache, class_group
 from .ntheory import factorize, is_squarefree, smallest_prime_factor
-from .sweep import (
-    DEFAULT_CLASS_DATA_BUDGET,
-    ResourceLimitError,
-    sweep_counts,
-)
+from .sweep import check_budget, class_numbers
 
 DEFAULT_SIEVE_BUDGET = 100_000_000
 
@@ -178,9 +174,7 @@ def estimate(
 ) -> DensityEstimate:
     """Density of M within N up to X by exact enumeration (M is measured
     as M cap N, so M need not be a subset)."""
-    cap = DEFAULT_SIEVE_BUDGET if budget is None else budget
-    if X > cap:
-        raise ResourceLimitError(f"X = {X} exceeds the sieve budget {cap}")
+    check_budget("X", X, budget, DEFAULT_SIEVE_BUDGET, "sieve")
     if X < 1:
         raise ValueError("bound must be >= 1")
     ambient = N.mask_up_to(X)
@@ -244,9 +238,9 @@ def landau_count(
 ) -> LandauTable:
     """M(x) = #{n <= x with all prime factors in the residue classes},
     at geometric sample points up to X."""
-    cap = DEFAULT_SIEVE_BUDGET if budget is None else budget
-    if X > cap:
-        raise ResourceLimitError(f"X = {X} exceeds the sieve budget {cap}")
+    check_budget("X", X, budget, DEFAULT_SIEVE_BUDGET, "sieve")
+    if modulus < 1:
+        raise ValueError("modulus must be >= 1")
     rs = frozenset(r % modulus for r in residues)
     for r in rs:
         if math.gcd(r, modulus) != 1:
@@ -273,30 +267,6 @@ def landau_ratio_check(
     return [
         (x, m * math.log(x) ** expo / x) for x, m in table.samples
     ]
-
-
-# ----------------------------------------------- class-number data plumbing
-
-
-_sweep_store: dict = {"limit": 0, "counts": None}
-
-
-def _class_numbers_up_to(limit: int, workers: int = 1) -> np.ndarray:
-    """Raw sweep counts, grown on demand and served as prefixes: the
-    count at index n never depends on the sweep bound, so a prefix of a
-    bigger run equals a smaller run."""
-    if _sweep_store["limit"] < limit:
-        _sweep_store["counts"] = sweep_counts(limit, workers=workers)
-        _sweep_store["limit"] = limit
-    return _sweep_store["counts"][: limit + 1]
-
-
-def _check_class_budget(X: int, budget: int | None):
-    cap = DEFAULT_CLASS_DATA_BUDGET if budget is None else budget
-    if X > cap:
-        raise ResourceLimitError(
-            f"X = {X} exceeds the class-data budget {cap}"
-        )
 
 
 # ------------------------------------------------------------ exponent-3 scan
@@ -338,9 +308,7 @@ def exponent3_scan(X: int, workers: int = 1, budget: int | None = None) -> list:
     Candidates are read off the batch sweep: exponent 3 forces h = 3^k
     (k >= 1), and h = 3 needs no further test.
     """
-    _check_class_budget(X, budget)
-    counts = _class_numbers_up_to(X, workers=workers).copy()
-    counts[~fundamental_mask(X)] = 0
+    counts = class_numbers(X, workers=workers, budget=budget)
     powers = []
     h = 3
     while h <= counts.max(initial=0):
@@ -371,11 +339,7 @@ def class_order_census(
 ) -> dict[int, int]:
     """For each target order h*, the number of fundamental discriminants
     with |D| < X (strict) and h(D) = h*."""
-    _check_class_budget(X, budget)
-    counts = _class_numbers_up_to(X, workers=workers).copy()
-    counts[~fundamental_mask(X)] = 0
-    if X >= 1:
-        counts[X:] = 0
+    counts = class_numbers(X, workers=workers, budget=budget)[:X]
     return {
         int(h): int(np.count_nonzero(counts == h)) for h in sorted(set(target_orders))
     }
@@ -449,12 +413,11 @@ def suitable_divisor_mask(
     smaller qualifying divisor, so its multiples are covered and it is
     skipped unclassified.
     """
-    _check_class_budget(X, budget)
-    h_table = _class_numbers_up_to(X, workers=workers)
+    h_table = class_numbers(X, workers=workers, budget=budget)
     marked = np.zeros(X + 1, dtype=bool)
-    sf = fundamental_mask(X)  # for d = 3 mod 4: fundamental iff squarefree
     for d in range(3, X + 1, 4):
-        if marked[d] or not sf[d]:
+        # for d = 3 mod 4: h > 0 iff -d is fundamental iff d is squarefree
+        if marked[d] or not h_table[d]:
             continue
         if is_suitable_fundamental_disc(d, p, h=int(h_table[d]), cache=cache):
             marked[d::d] = True
@@ -490,6 +453,8 @@ def suitable_divisor_density(
     cache: ClassGroupCache | None = None,
 ) -> DensityEstimate:
     """Density among all N <= X of integers with a qualifying divisor."""
+    if X < 1:
+        raise ValueError("bound must be >= 1")
     marked = suitable_divisor_mask(p, X, workers=workers, budget=budget, cache=cache)
     return DensityEstimate(X, int(marked.sum()), X)
 
@@ -502,14 +467,12 @@ def pgroup_density(
 ) -> DensityEstimate:
     """Fraction of fundamental |D| <= X whose class number is a power
     of p (h = 1 counts: the trivial group is a p-group)."""
-    _check_class_budget(X, budget)
-    counts = _class_numbers_up_to(X, workers=workers).copy()
-    counts[~fundamental_mask(X)] = 0
+    counts = class_numbers(X, workers=workers, budget=budget)
     fundamental_count = int(np.count_nonzero(counts))
     if fundamental_count == 0:
         raise ValueError(f"no fundamental discriminants up to {X}")
     powers = [1]
     while powers[-1] * p <= counts.max(initial=1):
         powers.append(powers[-1] * p)
-    member = int(np.count_nonzero(np.isin(counts, powers) & (counts > 0)))
+    member = int(np.count_nonzero(np.isin(counts, powers)))
     return DensityEstimate(X, member, fundamental_count)

@@ -4,16 +4,16 @@ A single pass over all triples a <= sqrt(X/3), 0 <= b <= a,
 a <= c <= (b^2 + X) / 4a touches every reduced form of every
 discriminant down to -X once, so tabulating h for a million fields
 costs O(X^{3/2}) instead of a million separate enumerations.  The
-inner loops live in a compiled extension when one was built;
-otherwise a numpy fallback is used.  Set QUADCLASS_NO_EXT=1 to force
-the fallback (the benchmark and the parity tests do).
+kernel is numpy: for fixed (a, b) the forms with c > a land on an
+arithmetic progression of |D|, which one strided array add covers.
 
-Both kernels count all reduced forms, primitive or not.  Fundamental
+The kernel counts all reduced forms, primitive or not.  Fundamental
 discriminants admit no imprimitive forms (a common factor g of
 a, b, c puts g^2 into the discriminant in a way the fundamentality
 conditions rule out), so restricting output to fundamental D makes
-the raw count equal h(D).  That restriction is built into
-batch_class_numbers; the raw counter is exposed for tests.
+the raw count equal h(D).  class_numbers applies that restriction
+once and keeps the result as the single class-number table every scan
+reads; the raw counter is exposed for tests.
 
 Work is partitioned across processes by striding the outer loop
 variable; partial counters merge by addition, so worker count never
@@ -22,59 +22,90 @@ changes results.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
 
 from .forms import fundamental_mask
 
-if os.environ.get("QUADCLASS_NO_EXT"):
-    from . import _kernel_py as _impl
-
-    BACKEND = "python"
-else:
-    try:
-        from . import _kernel as _impl  # type: ignore[attr-defined]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _kernel_py as _impl
-
-        BACKEND = "python"
+#: The sweep kernel in use; numpy is the only one.
+BACKEND = "python"
 
 
 class ResourceLimitError(Exception):
     """A requested bound exceeds the configured memory/time budget."""
 
 
-#: Largest X accepted by batch_class_numbers without an explicit budget
-#: override.  The counts array alone is 8(X+1) bytes.
+#: Largest X accepted by class_numbers without an explicit budget
+#: override.  The table alone is 8(X+1) bytes.
 DEFAULT_CLASS_DATA_BUDGET = 4_000_000
 
 
-def _sweep_slice(args):
-    limit, start, step = args
-    return _impl.sweep_counts(limit, start, step)
+def check_budget(
+    name: str, value: int, budget: int | None, default: int, kind: str
+) -> None:
+    """Refuse value above budget (default when budget is None)."""
+    cap = default if budget is None else budget
+    if value > cap:
+        raise ResourceLimitError(f"{name} = {value} exceeds the {kind} budget {cap}")
 
 
-def _count_slice(args):
-    abs_disc, start, step = args
-    return _impl.count_reduced_forms(abs_disc, start, step)
+def _sweep_slice(limit: int, a_start: int, a_step: int) -> np.ndarray:
+    """counts[n] = number of reduced forms with 4ac - b^2 = n, for the
+    slice a in {a_start, a_start + a_step, ...}."""
+    counts = np.zeros(max(limit, 0) + 1, dtype=np.int64)
+    if limit < 3:
+        return counts
+    for a in range(a_start, isqrt(limit // 3) + 1, a_step):
+        foura = 4 * a
+        for b in range(0, a + 1):
+            base = foura * a - b * b  # the c = a term
+            if base > limit:
+                continue
+            counts[base] += 1
+            start = base + foura
+            if start <= limit:
+                # one strided add covers every c > a at this (a, b)
+                counts[start::foura] += 1 if (b == 0 or b == a) else 2
+    return counts
+
+
+def _count_slice(abs_disc: int, b_start: int, b_step: int) -> int:
+    """Number of reduced forms with 4ac - b^2 = abs_disc, summed over
+    b in {b_start, b_start + b_step, ...}."""
+    total = 0
+    for b in range(b_start, isqrt(abs_disc // 3) + 1, b_step):
+        n = (b * b + abs_disc) // 4
+        lo = max(b, 1)
+        hi = isqrt(n)
+        if hi < lo:
+            continue
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        a = a[n % a == 0]
+        if not a.size:
+            continue
+        if b == 0:
+            total += a.size
+        else:
+            c = n // a
+            total += int(np.where((a == b) | (a == c), 1, 2).sum())
+    return total
 
 
 def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
     """counts[n] = number of reduced forms of discriminant -n, n <= limit.
 
-    No fundamentality or primitivity filtering; see batch_class_numbers.
+    No fundamentality or primitivity filtering; see class_numbers.
     """
     if workers <= 1:
-        return _impl.sweep_counts(limit, 1, 1)
-    tasks = [(limit, k + 1, workers) for k in range(workers)]
+        return _sweep_slice(limit, 1, 1)
+    starts = range(1, workers + 1)
+    steps = [workers] * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sweep_slice, tasks))
+        parts = list(pool.map(_sweep_slice, [limit] * workers, starts, steps))
     total = parts[0]
     for part in parts[1:]:
         total += part
@@ -93,37 +124,47 @@ def count_reduced_forms(abs_disc: int, workers: int = 1) -> int:
     else:
         raise ValueError(f"{-abs_disc} is not a discriminant")
     if workers <= 1:
-        return _impl.count_reduced_forms(abs_disc, b0, 2)
-    tasks = [(abs_disc, b0 + 2 * k, 2 * workers) for k in range(workers)]
+        return _count_slice(abs_disc, b0, 2)
+    starts = range(b0, b0 + 2 * workers, 2)
+    steps = [2 * workers] * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_slice, tasks))
+        return sum(pool.map(_count_slice, [abs_disc] * workers, starts, steps))
+
+
+# h[n] = h(-n) for fundamental -n, 0 otherwise; read-only, grown on demand
+_store = np.zeros(0, dtype=np.int64)
+
+
+def class_numbers(
+    limit: int, workers: int = 1, budget: int | None = None
+) -> np.ndarray:
+    """Read-only view h[0..limit] with h[n] = h(-n) for fundamental -n
+    and 0 otherwise, so h[n] > 0 exactly when -n is fundamental.
+
+    All callers share one table.  A sweep's count at n does not depend
+    on the sweep bound, so a smaller bound is served as a prefix of the
+    largest table built so far, and only a larger bound sweeps again.
+    """
+    global _store
+    if limit < 0:
+        raise ValueError("limit must be >= 0")
+    check_budget("X", limit, budget, DEFAULT_CLASS_DATA_BUDGET, "class-data")
+    if _store.size <= limit:
+        counts = sweep_counts(limit, workers=workers)
+        counts[~fundamental_mask(limit)] = 0
+        counts.flags.writeable = False
+        _store = counts
+    return _store[: limit + 1]
 
 
 @dataclass(frozen=True)
 class ClassNumberTable:
-    """h(D) for every fundamental D with |D| <= limit.
-
-    Stored as parallel arrays ascending in |D|; behaves as a read-only
-    mapping keyed by the (negative) discriminant.
-    """
+    """h(D) for every fundamental D with |D| <= limit, stored as
+    parallel arrays ascending in |D|."""
 
     limit: int
     abs_discs: np.ndarray
     class_numbers: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.abs_discs.size)
-
-    def __contains__(self, disc: int) -> bool:
-        i = int(np.searchsorted(self.abs_discs, -int(disc)))
-        return i < len(self) and int(self.abs_discs[i]) == -int(disc)
-
-    def __getitem__(self, disc: int) -> int:
-        n = -int(disc)
-        i = int(np.searchsorted(self.abs_discs, n))
-        if i >= len(self) or int(self.abs_discs[i]) != n:
-            raise KeyError(disc)
-        return int(self.class_numbers[i])
 
     def items(self) -> Iterator[tuple[int, int]]:
         for n, h in zip(self.abs_discs, self.class_numbers):
@@ -136,11 +177,6 @@ def batch_class_numbers(
     """Tabulate h(D) for all fundamental D with |D| <= limit."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    cap = DEFAULT_CLASS_DATA_BUDGET if budget is None else budget
-    if limit > cap:
-        raise ResourceLimitError(
-            f"limit {limit} exceeds the class-data budget {cap}"
-        )
-    counts = sweep_counts(limit, workers=workers)
-    ns = np.nonzero(fundamental_mask(limit))[0]
-    return ClassNumberTable(limit, ns, counts[ns])
+    h = class_numbers(limit, workers=workers, budget=budget)
+    ns = np.nonzero(h)[0]
+    return ClassNumberTable(limit, ns, h[ns])

@@ -155,6 +155,22 @@ def test_budget_error_exit_code(capsys):
     assert "error" in err and "budget" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "--p", "2", "--bounds", "0"],
+        ["clcompare", "--p", "3", "--bound", "2"],
+        ["landau", "--bound", "100", "--modulus", "0"],
+        ["census", "--max-abs-disc", "-1", "--orders", "1"],
+    ],
+)
+def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("quadclass: error: ")
+
+
 def test_malformed_flags_exit_nonzero():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["census"])  # missing required flags

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from quadclass.density import (
     CENSUS_REFERENCE_BOUND,
-    ResourceLimitError,
     all_integers,
     class_order_census,
     dilate,
@@ -27,7 +26,7 @@ from quadclass.density import (
 )
 from quadclass.forms import class_group, is_fundamental
 from quadclass.ntheory import factorize, is_squarefree, prime_mask
-from quadclass.sweep import sweep_counts
+from quadclass.sweep import ResourceLimitError, sweep_counts
 
 from _oracles import class_number_by_box_scan, suitable_by_enumeration
 

@@ -1,15 +1,12 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from quadclass import _kernel_py
-from quadclass.forms import is_fundamental
+from quadclass import sweep
+from quadclass.forms import fundamental_mask, is_fundamental
 from quadclass.sweep import (
-    BACKEND,
     ResourceLimitError,
     batch_class_numbers,
+    class_numbers,
     count_reduced_forms,
     sweep_counts,
 )
@@ -56,6 +53,12 @@ def test_prefix_stability():
     small = sweep_counts(1000)
     large = sweep_counts(5000)
     assert np.array_equal(small, large[:1001])
+    # the shared table serves a smaller bound as a prefix of a larger one
+    class_numbers(5000)
+    table = class_numbers(1000)
+    assert np.array_equal(table, np.where(fundamental_mask(1000), small, 0))
+    with pytest.raises(ValueError):
+        table[23] = 0
 
 
 def test_worker_partition_invariance():
@@ -64,32 +67,8 @@ def test_worker_partition_invariance():
     assert np.array_equal(one, two)
 
 
-def test_python_backend_agrees():
-    limit = 20000
-    sweep = sweep_counts(limit)
-    fallback = _kernel_py.sweep_counts(limit)
-    assert np.array_equal(sweep, np.asarray(fallback))
-
-
-@pytest.mark.skipif(BACKEND != "compiled", reason="compiled kernel not built")
-def test_env_flag_forces_python_backend():
-    code = (
-        "from quadclass.sweep import BACKEND, sweep_counts;"
-        "print(BACKEND, int(sweep_counts(500).sum()))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PATH": "/usr/bin:/bin", "QUADCLASS_NO_EXT": "1"},
-        check=True,
-    )
-    backend, total = out.stdout.split()
-    assert backend == "python"
-    assert int(total) == int(sweep_counts(500).sum())
-
-
-def test_batch_table_fundamental_only():
+def test_batch_table_fundamental_only(monkeypatch):
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int64))
     table = batch_class_numbers(500)
     assert table.limit == 500
     discs = table.abs_discs
@@ -100,11 +79,18 @@ def test_batch_table_fundamental_only():
         assert int(h) == int(counts[d])
     expected = [d for d in range(1, 501) if is_fundamental(-d)]
     assert list(discs) == expected
+    # served from a larger table, the same rows come back
+    class_numbers(20000)
+    again = batch_class_numbers(500)
+    assert np.array_equal(again.abs_discs, discs)
+    assert np.array_equal(again.class_numbers, table.class_numbers)
 
 
 def test_budget_guard():
     with pytest.raises(ResourceLimitError):
         batch_class_numbers(10**7)
+    with pytest.raises(ResourceLimitError):
+        class_numbers(10**7)
     # explicit budget overrides the default
     batch_class_numbers(5000, budget=5000)
     with pytest.raises(ResourceLimitError):

@@ -4,6 +4,10 @@ as a set of reduced forms under composition.
 The suitability test here is the gate for everything dihedral: a group
 qualifies for a prime p exactly when the prime-to-p part of its exponent
 does not divide p^2 - 1.
+
+Structure from forms works on plain ``(a, b, c)`` tuples through the
+private kernel of ``forms``; ``QuadForm`` objects appear only at the edges,
+where the input list is read and the generators are returned.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .forms import QuadForm, compose, form_pow, principal_form
+from .forms import QuadForm, _compose, _pow, _reduce, form_pow, principal_form
 from .ntheory import divisors, factorize, prime_to_p_part
 
 
@@ -128,7 +132,7 @@ def element_order(f: QuadForm, group_order: int) -> int:
 
 class _CheckedGroup:
     """Composition restricted to a fixed element set; leaving it means the
-    input was not a full class group."""
+    input was not a full class group.  Elements are (a, b, c) tuples."""
 
     def __init__(self, forms: list[QuadForm]):
         if not forms:
@@ -136,31 +140,31 @@ class _CheckedGroup:
         disc = forms[0].discriminant
         if any(f.discriminant != disc for f in forms):
             raise ValueError("forms of mixed discriminant")
-        self.elements = frozenset(forms)
+        self.disc = disc
+        self.elements = frozenset((f.a, f.b, f.c) for f in forms)
         if len(self.elements) != len(forms):
             raise ValueError("duplicate forms")
-        self.identity = principal_form(disc)
+        e = principal_form(disc)
+        self.identity = (e.a, e.b, e.c)
         if self.identity not in self.elements:
             raise ValueError("principal form missing from input")
 
-    def mul(self, f: QuadForm, g: QuadForm) -> QuadForm:
-        r = compose(f, g)
+    def mul(self, f: tuple, g: tuple) -> tuple:
+        r = _compose(f, g, self.disc)
         if r not in self.elements:
             raise ValueError(f"composition left the input set: {f} * {g} = {r}")
         return r
 
-    def pow(self, f: QuadForm, n: int) -> QuadForm:
-        result = self.identity
-        base = f
-        while n:
-            if n & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return result
+    def pow(self, f: tuple, n: int) -> tuple:
+        """f^n for n >= 0, every product checked by mul."""
+        return _pow(f, n, self.mul) if n else self.identity
+
+    def inverse(self, f: tuple) -> tuple:
+        a, b, c = f
+        return _reduce(a, -b, c, self.disc)
 
 
-def _sylow_basis(group: _CheckedGroup, sylow: list[QuadForm], p: int):
+def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int):
     """Basis of an abelian p-group given as an explicit element list.
 
     Repeatedly splits off a generator of maximal order in the current
@@ -170,7 +174,7 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[QuadForm], p: int):
     end up covering every element exactly once.
     """
     span = {group.identity: ()}
-    basis: list[QuadForm] = []
+    basis: list[tuple] = []
     orders: list[int] = []
     size = len(sylow)
     while len(span) < size:
@@ -195,7 +199,7 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[QuadForm], p: int):
             if di:
                 adjust = group.mul(adjust, group.pow(b, di))
         if adjust != group.identity:
-            g = group.mul(g, adjust.inverse())
+            g = group.mul(g, group.inverse(adjust))
         new_span = {}
         gk = group.identity
         for k in range(p**t):
@@ -226,10 +230,10 @@ def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
         result = AbelianGroup(())
         return (result, []) if with_generators else result
 
-    per_prime: dict[int, tuple[list[QuadForm], list[int]]] = {}
+    per_prime: dict[int, tuple[list[tuple], list[int]]] = {}
     for p, v in sorted(factorize(h).items()):
         cof = h // p**v
-        sylow = sorted({group.pow(f, cof) for f in forms})
+        sylow = sorted({group.pow(f, cof) for f in group.elements})
         if len(sylow) != p**v:
             raise ValueError(f"{p}-part has {len(sylow)} elements, expected {p**v}")
         basis, orders = _sylow_basis(group, sylow, p)
@@ -237,10 +241,12 @@ def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
         # independent cross-check: multiset of orders from counting
         # p^j-torsion must reproduce the partition found by the basis
         counts = []
+        powers = sylow  # x^(p^j) for each x, j = 0, 1, ...
         j = 0
         while True:
             j += 1
-            nj = sum(1 for x in sylow if group.pow(x, p**j) == group.identity)
+            powers = [group.pow(x, p) for x in powers]
+            nj = powers.count(group.identity)
             if p ** _ilog(nj, p) != nj:
                 raise RuntimeError(f"{p}^{j}-torsion count {nj} is not a power of {p}")
             counts.append(nj)
@@ -268,7 +274,7 @@ def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
                 i = idx[slot]
                 gen = group.mul(gen, basis[i])
                 order *= orders[i]
-        combined.append((gen, order))
+        combined.append((QuadForm(*gen), order))
     combined.reverse()  # ascending, aligned with invariant factors
     result = AbelianGroup(tuple(order for _, order in combined))
     return (result, combined) if with_generators else result

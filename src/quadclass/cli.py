@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import cohen_lenstra, density, dihedral, finitefield
 from .abelian import AbelianGroup, is_p_suitable
 from .forms import CACHE_ENV, ClassGroupCache, class_group
-from .ntheory import prime_to_p_part
+from .ntheory import is_prime, prime_to_p_part
 from .sweep import ResourceLimitError, batch_class_numbers
 
 
@@ -274,10 +274,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Reject values argparse accepts as ints but no subcommand can use."""
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not all(is_prime(p) for p in getattr(args, "p", ())):
+        raise ValueError("p must be prime")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_args(args)
         return args.fn(args)
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"quadclass: error: {exc}", file=sys.stderr)

@@ -102,6 +102,8 @@ def weighted_sum_coprime(
 ) -> Fraction:
     """Sum of 1/#Aut(G) over all abelian G with #G <= x coprime to
     every prime in S.  Exact."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
     check_budget("x", x, budget, DEFAULT_ENUM_BUDGET, "enumeration")
     total = Fraction(0)
     for n in _coprime_orders(frozenset(S), x):

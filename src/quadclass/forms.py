@@ -4,6 +4,11 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2.  Only positive definite
 forms appear here (a > 0, b^2 - 4ac < 0), and a class group is always
 realized as the set of primitive reduced forms of one discriminant under
 composition.
+
+The arithmetic itself (``_reduce``, ``_compose``, ``_pow``) works on plain
+``(a, b, c)`` int tuples with the discriminant passed in, so that inner
+loops build and validate no objects.  The public functions take and return
+validated ``QuadForm`` objects and convert once at that edge.
 """
 
 from __future__ import annotations
@@ -107,16 +112,8 @@ def principal_form(D) -> QuadForm:
     return QuadForm(1, 0, -D // 4)
 
 
-def reduce_form(f: QuadForm) -> QuadForm:
-    """The unique reduced form equivalent to f.
-
-    >>> reduce_form(QuadForm(1, 1, 1))
-    (1,1,1)
-    >>> reduce_form(QuadForm(6, 1, 2))
-    (2,-1,6)
-    """
-    a, b, c = f.a, f.b, f.c
-    D = f.discriminant
+def _reduce(a: int, b: int, c: int, D: int) -> tuple[int, int, int]:
+    """The reduced form equivalent to (a, b, c) of discriminant D, as a tuple."""
     while True:
         # normalize: bring b into (-a, a]
         if not -a < b <= a:
@@ -130,7 +127,61 @@ def reduce_form(f: QuadForm) -> QuadForm:
         break
     if b < 0 and (a == c or -b == a):
         b = -b
-    return QuadForm(a, b, c)
+    return a, b, c
+
+
+def _compose(f: tuple[int, int, int], g: tuple[int, int, int], D: int) -> tuple[int, int, int]:
+    """Reduced product of two forms of discriminant D, as a tuple.
+
+    Classical composition: solve for the united form with two extended
+    gcds, then reduce.
+    """
+    if f[0] > g[0]:
+        f, g = g, f
+    a1, b1, _ = f
+    a2, b2, c2 = g
+    s = (b1 + b2) // 2
+    n = b2 - s
+    if a2 % a1 == 0:
+        y1, d = 0, a1
+    else:
+        d, y1, _ = xgcd(a2, a1)
+    if s % d == 0:
+        y2, x2, d1 = -1, 0, d
+    else:
+        d1, x2, v = xgcd(s, d)
+        y2 = -v
+    v1 = a1 // d1
+    v2 = a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    a3 = v1 * v2
+    b3 = b2 + 2 * v2 * r
+    c3 = (b3 * b3 - D) // (4 * a3)
+    return _reduce(a3, b3, c3, D)
+
+
+def _pow(f, n: int, mul):
+    """f^n for n >= 1 under the product mul, by right-to-left binary
+    powering: n.bit_length() + popcount(n) - 2 products."""
+    result = None
+    while True:
+        if n & 1:
+            result = f if result is None else mul(result, f)
+        n >>= 1
+        if not n:
+            return result
+        f = mul(f, f)
+
+
+def reduce_form(f: QuadForm) -> QuadForm:
+    """The unique reduced form equivalent to f.
+
+    >>> reduce_form(QuadForm(1, 1, 1))
+    (1,1,1)
+    >>> reduce_form(QuadForm(6, 1, 2))
+    (2,-1,6)
+    """
+    return QuadForm(*_reduce(f.a, f.b, f.c, f.discriminant))
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
@@ -142,43 +193,22 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     D = f.discriminant
     if g.discriminant != D:
         raise ValueError(f"discriminant mismatch: {D} vs {g.discriminant}")
-    a1, b1, c1 = f.a, f.b, f.c
-    a2, b2, c2 = g.a, g.b, g.c
-    if a1 > a2:
-        a1, b1, c1, a2, b2, c2 = a2, b2, c2, a1, b1, c1
-    s = (b1 + b2) // 2
-    n = b2 - s
-    if a2 % a1 == 0:
-        y1, d = 0, a1
-    else:
-        d, u, _ = xgcd(a2, a1)
-        y1 = u
-    if s % d == 0:
-        y2, x2, d1 = -1, 0, d
-    else:
-        d1, u, v = xgcd(s, d)
-        x2, y2 = u, -v
-    v1 = a1 // d1
-    v2 = a2 // d1
-    r = (y1 * y2 * n - x2 * c2) % v1
-    a3 = v1 * v2
-    b3 = b2 + 2 * v2 * r
-    c3 = (b3 * b3 - D) // (4 * a3)
-    return reduce_form(QuadForm(a3, b3, c3))
+    return QuadForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), D))
 
 
 def form_pow(f: QuadForm, n: int) -> QuadForm:
-    """n-th composition power of f (n may be negative)."""
+    """n-th composition power of f (n may be negative).
+
+    >>> form_pow(QuadForm(2, 1, 3), 3), form_pow(QuadForm(2, 1, 3), -1)
+    ((1,1,6), (2,-1,3))
+    """
     if n < 0:
         return form_pow(f.inverse(), -n)
-    result = principal_form(f.discriminant)
-    base = reduce_form(f)
-    while n:
-        if n & 1:
-            result = compose(result, base)
-        base = compose(base, base)
-        n >>= 1
-    return result
+    D = f.discriminant
+    if n == 0:
+        return principal_form(D)
+    base = _reduce(f.a, f.b, f.c, D)
+    return QuadForm(*_pow(base, n, lambda x, y: _compose(x, y, D)))
 
 
 def enumerate_reduced(D) -> list[QuadForm]:
@@ -321,13 +351,25 @@ class ClassGroupCache:
             self._load()
 
     def _load(self):
+        from .abelian import AbelianGroup  # checks the divisor chain
+
         with open(self.path, newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames != self.HEADER:
                 raise ValueError(f"unexpected cache header in {self.path}: {reader.fieldnames}")
             for row in reader:
-                factors = tuple(int(t) for t in row["invariant_factors"].split(";") if t)
-                self._rows[int(row["disc"])] = (int(row["h"]), factors)
+                try:
+                    disc, h = int(row["disc"]), int(row["h"])
+                    cell = row["invariant_factors"] or ""  # None: the row is cut short
+                    group = AbelianGroup(tuple(int(t) for t in cell.split(";") if t))
+                except (TypeError, ValueError):
+                    group = None
+                if group is None or group.order != h:
+                    raise ValueError(
+                        f"corrupt cache row in {self.path} at line {reader.line_num}: "
+                        f"disc {row['disc']}"
+                    )
+                self._rows[disc] = (h, group.invariant_factors)
 
     def get(self, disc: int) -> tuple[int, tuple[int, ...]]:
         disc = _disc_value(disc)
@@ -338,12 +380,23 @@ class ClassGroupCache:
         return self._rows[disc]
 
     def save(self):
+        """Write the rows to a temporary file beside the cache, then move it
+        into place, so a crash never leaves a truncated cache behind."""
         if not self.path or not self.dirty:
             return
-        with open(self.path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.HEADER)
-            for disc in sorted(self._rows, key=abs):
-                h, factors = self._rows[disc]
-                writer.writerow([disc, h, ";".join(str(d) for d in factors)])
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(self.HEADER)
+                for disc in sorted(self._rows, key=abs):
+                    h, factors = self._rows[disc]
+                    writer.writerow([disc, h, ";".join(str(d) for d in factors)])
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, self.path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         self.dirty = False

@@ -214,7 +214,13 @@ def odd_part(n: int) -> int:
 
 
 def prime_to_p_part(n: int, p: int) -> int:
-    """Largest divisor of n coprime to p."""
+    """Largest divisor of n coprime to p (p >= 2).
+
+    >>> prime_to_p_part(360, 2)
+    45
+    """
+    if p < 2:
+        raise ValueError(f"p must be >= 2, got {p}")
     while n % p == 0:
         n //= p
     return n

@@ -5,6 +5,7 @@ import pytest
 
 from quadclass.abelian import (
     AbelianGroup,
+    _CheckedGroup,
     aut_order,
     element_order,
     has_cyclic_quotient,
@@ -157,6 +158,20 @@ def test_element_order_by_direct_walk():
             assert h % k == 0
             assert form_pow(f, k) == e
             assert all(form_pow(f, j) != e for j in range(1, k))
+
+
+def test_checked_pow_matches_iterated_compose():
+    # both powering paths, the checked one on tuples and form_pow, against
+    # repeated composition, from n = 0 up to twice the class number
+    for D in (-23, -4027, -3299, -11199):
+        forms = enumerate_reduced(D)
+        group = _CheckedGroup(forms)
+        for f in forms:
+            acc = principal_form(D)
+            for n in range(2 * len(forms) + 1):
+                assert group.pow((f.a, f.b, f.c), n) == (acc.a, acc.b, acc.c), (D, f, n)
+                assert form_pow(f, n) == acc, (D, f, n)
+                acc = compose(acc, f)
 
 
 def test_structure_from_forms_order_statistics():

@@ -162,6 +162,16 @@ def test_budget_error_exit_code(capsys):
         ["clcompare", "--p", "3", "--bound", "2"],
         ["landau", "--bound", "100", "--modulus", "0"],
         ["census", "--max-abs-disc", "-1", "--orders", "1"],
+        ["suitable", "--disc", "-47", "--p", "1"],
+        ["witness", "--disc", "-47", "--p", "1", "--bound", "100"],
+        ["traces", "--orders", "5", "--p", "1"],
+        ["traces", "--orders", "5", "--p", "6"],
+        ["suitable", "--disc", "-47", "--p", "6"],
+        ["witness", "--disc", "-47", "--p", "4", "--bound", "100"],
+        ["density", "--p", "4", "--bounds", "100"],
+        ["--workers", "0", "census", "--max-abs-disc", "50", "--orders", "1"],
+        ["--workers", "-3", "census", "--max-abs-disc", "50", "--orders", "1"],
+        ["clweights", "--skip-primes", "2", "--bounds", "-5"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -153,15 +154,28 @@ def test_prime_form_order_divides_class_number():
             assert form_pow(reduce_form(out), h) == principal_form(D)
 
 
+# invariant factors and their generators, recorded before the int-tuple
+# kernel replaced QuadForm arithmetic; witness rows depend on the generators
+KNOWN_CLASS_GROUPS = {
+    -3: (1, (), []),
+    -4: (1, (), []),
+    -23: (3, (3,), [(2, -1, 3)]),
+    -47: (5, (5,), [(2, -1, 6)]),
+    -231: (12, (2, 6), [(7, 7, 10), (5, 3, 12)]),
+    -420: (8, (2, 2, 2), [(5, 0, 21), (3, 0, 35), (2, 2, 53)]),
+    -3299: (27, (3, 9), [(15, -11, 57), (3, -1, 275)]),
+    -4027: (9, (3, 3), [(17, -11, 61), (13, -9, 79)]),
+    -11199: (100, (5, 20), [(12, -9, 235), (35, -1, 80)]),
+    -21311: (200, (200,), [(42, -19, 129)]),
+    -30244: (40, (40,), [(19, -2, 398)]),
+}
+
+
 def test_class_group_known_structures():
-    g23 = class_group(-23)
-    assert (g23.class_number, g23.structure.invariant_factors) == (3, (3,))
-    g47 = class_group(-47)
-    assert (g47.class_number, g47.structure.invariant_factors) == (5, (5,))
-    g4027 = class_group(-4027)
-    assert (g4027.class_number, g4027.structure.invariant_factors) == (9, (3, 3))
-    g3 = class_group(-3)
-    assert (g3.class_number, g3.structure.invariant_factors) == (1, ())
+    for D, (h, factors, gens) in KNOWN_CLASS_GROUPS.items():
+        rec = class_group(D)
+        assert (rec.class_number, rec.structure.invariant_factors) == (h, factors), D
+        assert rec.generators == [(QuadForm(*g), k) for g, k in zip(gens, factors)], D
 
 
 def test_class_group_structure_consistent():
@@ -209,11 +223,25 @@ def test_cache_roundtrip(tmp_path):
     cache = ClassGroupCache(str(path))
     assert cache.get(-4027) == (9, (3, 3))
     cache.save()
+    assert [p.name for p in tmp_path.iterdir()] == ["cg.csv"]  # no *.tmp left
     fresh = ClassGroupCache(str(path))
     assert fresh._rows[-4027] == (9, (3, 3))
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["disc", "h", "invariant_factors"]
+
+
+@pytest.mark.parametrize(
+    "row",
+    ["-4027,9,3", "-4027,9,2;6", "-4027,9,3;3;1", "-231,12,3;4", "-23,3,", "-23,3", "-23", "-23,3,x"],
+)
+def test_cache_rejects_corrupt_row(tmp_path, row):
+    # wrong product, not a divisor chain, factor 1, cut short, not a number
+    path = tmp_path / "cg.csv"
+    path.write_text(f"disc,h,invariant_factors\n-47,5,5\n{row}\n")
+    disc = row.split(",")[0]
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} at line 3: disc {disc}$"):
+        ClassGroupCache(str(path))
 
 
 def test_cache_env_default(tmp_path, monkeypatch):

@@ -195,6 +195,9 @@ def test_prime_to_p_part(n, p):
     while q % p == 0:
         q //= p
     assert q == 1
+    for bad in (1, 0, -2):  # would loop forever or divide by zero
+        with pytest.raises(ValueError):
+            prime_to_p_part(n, bad)
 
 
 def test_is_prime_agrees_with_mask():

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import cohen_lenstra, density, dihedral, finitefield
 from .abelian import AbelianGroup, is_p_suitable
 from .forms import CACHE_ENV, ClassGroupCache, class_group
-from .ntheory import is_prime, prime_to_p_part
+from .ntheory import is_prime
 from .sweep import ResourceLimitError, batch_class_numbers
 
 
@@ -118,13 +118,8 @@ def _cmd_witness(args) -> int:
     for disc in args.disc:
         record = class_group(disc)
         for p in args.p:
-            report = is_p_suitable(record.structure, p)
-            h = (
-                report.witness_h
-                if report.suitable
-                else prime_to_p_part(record.structure.exponent, p)
-            )
-            found = dihedral.find_witness(record.disc, p, args.bound)
+            h = dihedral.witness_order(record.structure, p)
+            found = dihedral.find_witness(record, p, args.bound)
             if isinstance(found, dihedral.NotFoundUpToBound):
                 rows.append([record.disc, h, p, "", ""])
             else:

@@ -29,7 +29,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .abelian import is_p_suitable
+from .abelian import AbelianGroup, is_p_suitable
 from .finitefield import FieldElement, element_of_order, make_field
 from .forms import (
     INERT,
@@ -363,21 +363,27 @@ def coeff_in_prime_field(c: EigenCoefficient, p: int) -> bool:
     return reduce_coefficient(c, p).in_subfield(1)
 
 
+def witness_order(structure: AbelianGroup, p: int) -> int:
+    """Order of the character find_witness uses: the suitability witness
+    order, or for p-unsuitable groups the full prime-to-p part of the
+    exponent (the search then certainly exhausts the bound)."""
+    report = is_p_suitable(structure, p)
+    if report.suitable:
+        return report.witness_h
+    return prime_to_p_part(structure.exponent, p)
+
+
 def find_witness(
-    D, p: int, bound: int
+    D: int | ClassGroupRecord, p: int, bound: int
 ) -> tuple[int, EigenCoefficient] | NotFoundUpToBound:
     """Smallest prime ell <= bound whose coefficient escapes F_p after
-    reduction mod p, for the canonical character of the suitability
-    witness order (p-unsuitable groups get the full prime-to-p part of
-    the exponent, and the search then certainly exhausts the bound).
+    reduction mod p, for the canonical character of order
+    witness_order(Cl(D), p).  D is a discriminant or its class-group
+    record; a caller that already holds the record passes it so the
+    class group is not computed again.
     """
-    cg = class_group(D)
-    report = is_p_suitable(cg.structure, p)
-    if report.suitable:
-        h = report.witness_h
-    else:
-        h = prime_to_p_part(cg.structure.exponent, p)
-    chi = make_character(cg, h)
+    cg = D if isinstance(D, ClassGroupRecord) else class_group(D)
+    chi = make_character(cg, witness_order(cg.structure, p))
     for ell in map(int, primes_up_to(bound)):
         c = eigen_coeff(chi, ell)
         if not coeff_in_prime_field(c, p):

@@ -9,13 +9,25 @@ traces generate, so membership tests are Frobenius fixed-point checks:
 t lies in F_{p^s} iff t^(p^s) = t.
 
 Field elements are coefficient vectors modulo a monic modulus
-x^m + tail.  The modulus is found by a deterministic search: tails are
-enumerated as a base-p counter (0, 1, ..., p-1, x, x+1, ...) and the
-first irreducible wins, so a (p, m) pair names the same field on every
-run and platform.  Candidate tails are first screened against a stock
-of low-degree irreducibles, and survivors get the full Frobenius
-(Rabin) test; the screen is an optimization only and rejects nothing
-the full test would accept.
+x^m + tail; a product is one int64 convolution folded back by the tail.
+The modulus is found by a deterministic search: tails are enumerated
+as a base-p counter (0, 1, ..., p-1, x, x+1, ...) and the first
+irreducible wins, so a (p, m) pair names the same field on every run
+and platform.  Candidate tails are first screened against a stock of
+low-degree irreducibles (about a thousand polynomials enumerated, none
+when m = 1), and survivors get the full Frobenius (Rabin) test; the
+screen is an optimization only and rejects nothing the full test would
+accept.
+
+The Frobenius map e -> e^p is linear over F_p, and each field caches
+its integer matrix, built from the companion matrix of the modulus.
+It carries the work that would otherwise be repeated p-th powers: the
+Rabin test steps x^(p^k) by one matrix-vector product per k,
+frobenius_power(s) is binary powering of the matrix, and
+element_of_order raises to (p^m - 1)/h by base-p Horner, one
+Frobenius step per digit.  Matrix products run in float64 (BLAS), which
+is exact while every dot product m*(p-1)^2 stays below 2^53; make_field
+refuses fields past that bound.
 """
 
 from __future__ import annotations
@@ -28,14 +40,47 @@ import numpy as np
 
 from .ntheory import divisors, factorize, multiplicative_order
 
-# Degree cap for the screening stock, per characteristic.  Keeps the
-# stock around a hundred polynomials; past that the screen costs more
-# than the Rabin tests it saves.
-_SCREEN_DEGREE = {2: 9, 3: 6, 5: 4, 7: 3}
+# The screening stock holds the irreducibles of every degree d with
+# p^d <= _SCREEN_CANDIDATES, so building it enumerates about that many
+# polynomials (degrees 9, 6, 4, 3, 2 for p = 2, 3, 5, 7, 11; none past
+# p = 1000).  Past that the screen costs more than the Rabin tests it
+# saves.
+_SCREEN_CANDIDATES = 1000
+
+# Matrix products are exact float64 sums while m * (p - 1)^2 < 2^53.
+_EXACT_LIMIT = 2**53
 
 
 def _screen_cap(p: int) -> int:
-    return _SCREEN_DEGREE.get(p, 2)
+    d = 0
+    while p ** (d + 1) <= _SCREEN_CANDIDATES:
+        d += 1
+    return d
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p as int64, for arrays with entries in [0, p).
+
+    The product runs in float64 so it goes to BLAS.  It is exact: every
+    partial sum is an integer at most (inner dimension) * (p - 1)^2,
+    which make_field keeps below 2^53.
+    """
+    prod = np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
+    out = prod.astype(np.int64)  # np.fmod is ten times slower than this
+    out %= p
+    return out
+
+
+def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
+    """a^e mod p for a square matrix a, by left-to-right binary powering."""
+    if e == 0:
+        return np.eye(len(a), dtype=np.int64)
+    out = a
+    for bit in bin(e)[3:]:
+        out = _matmul(out, out, p)
+        if bit == "1":
+            out = _matmul(out, a, p)
+    return out
 
 
 def _digits(k: int, p: int) -> list[int]:
@@ -116,6 +161,9 @@ class FieldContext:
         if not self._negtail.size:
             self._negtail = np.zeros(1, dtype=np.int64)
         self.order = p**m
+        # A fold multiplies entries by at most (p - 1) * m and adds one
+        # more, so entries up to this bound cannot overflow int64 in it.
+        self._fold_limit = (2**63 - 1) // ((p - 1) * m + 1)
         self._frob: np.ndarray | None = None
 
     @property
@@ -129,12 +177,12 @@ class FieldContext:
     # -- raw vector arithmetic (little-endian int64, length m) --
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        # Entries stay far below 2^63 through the folds (inputs are < p,
-        # one convolve bounds them by m*p^2, each fold multiplies by at
-        # most (deg tail + 1)*p), so a single final mod suffices.
+        # Inputs are < p, so one convolve bounds entries by m*(p-1)^2 <
+        # 2^53; folds mod p only when the next fold could overflow
+        # (long-tail moduli refold many times), and once at the end.
         m = self.m
         while vec.size > m:
-            if vec.max(initial=0) > 2**40:  # long-tail moduli refold many times
+            if vec.max(initial=0) > self._fold_limit:
                 vec = vec % self.p
             ext = np.convolve(vec[m:], self._negtail)
             if ext.size <= m:
@@ -172,31 +220,29 @@ class FieldContext:
         return out
 
     def _frobenius_matrix(self) -> np.ndarray:
-        """Matrix of e -> e^p in the power basis (columns are x^{ip})."""
+        """Matrix of e -> e^p in the power basis (columns are x^{ip}),
+        read-only.  The companion matrix C of the modulus multiplies by
+        x, so C^p multiplies by x^p; the columns (C^p)^i e_0 come by
+        Krylov doubling, [K, A^k K] with A^k squared each round."""
         if self._frob is None:
-            m = self.m
-            xvec = np.zeros(m, dtype=np.int64)
-            xvec[min(1, m - 1)] = 1 if m > 1 else 0
-            if m == 1:
-                xp = np.zeros(1, dtype=np.int64)  # x = 0 in F_p[x]/(x)
-            else:
-                xp = self._pow(xvec, self.p)
-            cols = [np.zeros(m, dtype=np.int64)]
-            cols[0][0] = 1
-            for _ in range(m - 1):
-                cols.append(self._mul(cols[-1], xp))
-            self._frob = np.stack(cols, axis=1)
+            m, p = self.m, self.p
+            companion = np.zeros((m, m), dtype=np.int64)
+            companion[1:, :-1] = np.eye(m - 1, dtype=np.int64)
+            companion[:, -1] = (-self._tail) % p
+            step = _matpow(companion, p, p)
+            cols = np.zeros((m, 1), dtype=np.int64)
+            cols[0, 0] = 1
+            while cols.shape[1] < m:
+                cols = np.hstack([cols, _matmul(step, cols, p)])
+                if cols.shape[1] < m:
+                    step = _matmul(step, step, p)
+            self._frob = np.ascontiguousarray(cols[:, :m])
+            self._frob.flags.writeable = False
         return self._frob
 
     def frobenius_power(self, s: int) -> np.ndarray:
         """Matrix of e -> e^(p^s)."""
-        base = self._frobenius_matrix()
-        if s == 1:
-            return base
-        out = np.eye(self.m, dtype=np.int64)
-        for _ in range(s):
-            out = (base @ out) % self.p
-        return out
+        return _matpow(self._frobenius_matrix(), s, self.p)
 
     # -- element constructors --
 
@@ -270,7 +316,7 @@ class FieldElement:
         """Whether self lies in F_{p^s}, i.e. self^(p^s) = self."""
         fs = self.ctx.frobenius_power(s)
         vec = self._vec()
-        return bool(np.array_equal((fs @ vec) % self.ctx.p, vec))
+        return bool(np.array_equal(_matmul(fs, vec, self.ctx.p), vec))
 
     def field_degree(self) -> int:
         """Degree over F_p of the subfield self generates."""
@@ -291,26 +337,30 @@ class FieldElement:
         return "+".join(terms) if terms else "0"
 
 
-def _is_irreducible(tail: list[int], p: int, m: int) -> bool:
-    """Full Frobenius test for x^m + tail: irreducible iff
-    x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1 for primes r | m."""
+def _is_irreducible(ctx: FieldContext) -> bool:
+    """Full Frobenius (Rabin) test for the modulus f of ctx: irreducible
+    iff x^(p^m) = x mod f and gcd(x^(p^(m/r)) - x, f) = 1 for primes
+    r | m.  x^(p^k) is stepped by one Frobenius matrix-vector product
+    per k; the map e -> e^p is linear over F_p whether or not f is
+    irreducible.  The cheap final test runs first: most candidates
+    fail it, and then need no gcd."""
+    p, m = ctx.p, ctx.m
     if m == 1:
         return True
-    ctx = FieldContext(
-        p, m, np.array(tail + [0] * (m - len(tail)), dtype=np.int64)
-    )
+    frob = ctx._frobenius_matrix().astype(np.float64)
     checkpoints = {m // r for r in factorize(m)}
     x = np.zeros(m, dtype=np.int64)
     x[1] = 1
-    w = x.copy()
-    f = np.array(ctx.modulus, dtype=np.int64)
+    w = x
+    at_checkpoints = []
     for k in range(1, m + 1):
-        w = ctx._pow(w, p)
+        w = _matmul(frob, w, p)
         if k in checkpoints:
-            diff = (w - x) % p
-            if not _poly_gcd_is_one(diff, f, p):
-                return False
-    return bool(np.array_equal(w, x))
+            at_checkpoints.append(w)
+    if not np.array_equal(w, x):
+        return False
+    f = np.array(ctx.modulus, dtype=np.int64)
+    return all(_poly_gcd_is_one((v - x) % p, f, p) for v in at_checkpoints)
 
 
 _field_cache: dict[tuple[int, int], FieldContext] = {}
@@ -318,41 +368,45 @@ _field_cache: dict[tuple[int, int], FieldContext] = {}
 
 def make_field(p: int, m: int) -> FieldContext:
     """The field with p^m elements, modulus x^m + tail where tail is
-    the first base-p counter value making the polynomial irreducible."""
+    the first base-p counter value making the polynomial irreducible.
+    Raises ValueError when m < 1 or m*(p-1)^2 >= 2^53, past which the
+    Frobenius matrix products would not be exact."""
     if m < 1:
         raise ValueError("extension degree must be at least 1")
+    if m * (p - 1) ** 2 >= _EXACT_LIMIT:
+        raise ValueError(
+            f"field F_{p}^{m} is out of range: m*(p-1)^2 must be below 2^53"
+        )
     key = (p, m)
     if key in _field_cache:
         return _field_cache[key]
-    stock = [
-        list(q) for q in _screen_stock(p) if len(q) - 1 < min(m, _screen_cap(p) + 1)
-    ]
+    cap = _screen_cap(p)
+    stock = [list(q) for q in _screen_stock(p) if len(q) - 1 < m] if m > 1 else []
     xm_mod_q = [_poly_mod([0] * m + [1], q, p) for q in stock]
     k = 0
     while True:
         tail = _digits(k, p)
-        if len(tail) > m and m > 1:
+        if len(tail) > m:
             raise AssertionError("ran out of degree-m polynomials")
         screened_out = False
-        if m > 1:
-            for q, xm in zip(stock, xm_mod_q):
-                rem = list(xm)
-                t = _poly_mod(tail, q, p) if len(tail) >= len(q) else tail
-                for i, c in enumerate(t):
-                    rem[i] = (rem[i] + c) % p
-                if not any(rem):
-                    screened_out = True
-                    break
+        for q, xm in zip(stock, xm_mod_q):
+            rem = list(xm)
+            t = _poly_mod(tail, q, p) if len(tail) >= len(q) else tail
+            for i, c in enumerate(t):
+                rem[i] = (rem[i] + c) % p
+            if not any(rem):
+                screened_out = True
+                break
         if not screened_out:
+            ctx = FieldContext(
+                p, m, np.array(tail + [0] * (m - len(tail)), dtype=np.int64)
+            )
             # any composite of degree m has a factor of degree <= m/2,
             # so within twice the screening cap the screen is the whole
             # test and survivors need no Frobenius run
-            if m <= 2 * _screen_cap(p) or _is_irreducible(tail, p, m):
+            if m <= 2 * cap or _is_irreducible(ctx):
                 break
         k += 1
-    ctx = FieldContext(
-        p, m, np.array(tail + [0] * (m - len(tail)), dtype=np.int64)
-    )
     _field_cache[key] = ctx
     return ctx
 
@@ -370,11 +424,21 @@ def element_of_order(ctx: FieldContext, h: int) -> FieldElement:
     cached = _root_cache.get(key)
     if cached is not None and cached.ctx is ctx:
         return cached
-    cofactor = (ctx.order - 1) // h
+    p = ctx.p
+    # z = g^((p^m - 1)/h) by base-p Horner: z -> z^p * g^d per digit d,
+    # the p-th power being one Frobenius matrix-vector product
+    digits = _digits((ctx.order - 1) // h, p)[::-1]
+    frob = ctx._frobenius_matrix().astype(np.float64)
     hfactors = list(factorize(h))
     for k in range(1, ctx.order):
-        g = ctx.element(_digits(k, ctx.p))
-        z = g**cofactor
+        g = ctx.element(_digits(k, p))._vec()
+        powers = {d: ctx._pow(g, d) for d in set(digits) if d}
+        vec = powers[digits[0]]
+        for d in digits[1:]:
+            vec = _matmul(frob, vec, p)
+            if d:
+                vec = ctx._mul(vec, powers[d])
+        z = FieldElement(ctx, tuple(int(c) for c in vec))
         if z.is_zero():
             continue
         # z^h = g^(p^m - 1) = 1 holds automatically; exactness needs
@@ -426,7 +490,7 @@ def traces_all_in_subfield(ts: TraceSet, s: int) -> bool:
     """Whether every trace lies in F_{p^s} (Frobenius fixed points)."""
     fs = ts.ctx.frobenius_power(s)
     mat = np.array([t.coeffs for t in ts.diagonal], dtype=np.int64)
-    return bool(np.array_equal((mat @ fs.T) % ts.ctx.p, mat))
+    return bool(np.array_equal(_matmul(mat, fs.T, ts.ctx.p), mat))
 
 
 def trace_field_degree(ts: TraceSet) -> int:

@@ -60,6 +60,15 @@ def test_traces_skips_non_coprime_orders(capsys):
     assert [r["h"] for r in _rows(out)] == ["5"]
 
 
+def test_large_prime_rows(capsys):
+    # m is the order of p mod h, and p = +-1 mod h puts every trace and
+    # every coefficient in F_p: 101 = 1 and 1009 = -1 mod 5
+    out = _run(capsys, "traces", "--orders", "5", "--p", "101", "--p", "1009")
+    assert out.strip().splitlines()[1:] == ["5,101,1,1", "5,1009,2,1"]
+    out = _run(capsys, "witness", "--disc", "-47", "--p", "1009", "--bound", "100")
+    assert out.strip().splitlines()[1] == "-47,5,1009,,"
+
+
 def test_exp3scan_rows(capsys):
     out = _run(capsys, "exp3scan", "--max-abs-disc", "100")
     assert out.strip().splitlines() == [
@@ -172,6 +181,9 @@ def test_budget_error_exit_code(capsys):
         ["--workers", "0", "census", "--max-abs-disc", "50", "--orders", "1"],
         ["--workers", "-3", "census", "--max-abs-disc", "50", "--orders", "1"],
         ["clweights", "--skip-primes", "2", "--bounds", "-5"],
+        ["traces", "--orders", "5", "--p", "2147483647"],
+        ["traces", "--orders", "2", "--p", "94906297"],
+        ["witness", "--disc", "-47", "--p", "2147483647", "--bound", "100"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

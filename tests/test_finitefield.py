@@ -1,9 +1,13 @@
+import hashlib
+import random
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 
 from quadclass.finitefield import (
+    FieldContext,
     FieldElement,
     dihedral_trace_set,
     element_of_order,
@@ -137,7 +141,12 @@ def test_trace_law_small_range():
             ts = dihedral_trace_set(h, p)
             inside = traces_all_in_subfield(ts, 1)
             assert inside == (p % h in (1 % h, (-1) % h)), (h, p)
-            assert inside == (trace_field_degree(ts) == 1)
+            # the traces generate F_p(x + 1/x), which Frobenius^s fixes
+            # exactly when x^(p^s) = x^(+-1)
+            pm1 = (1 % h, (-1) % h)
+            least = next(s for s in range(1, h + 2) if pow(p, s, h) in pm1)
+            assert trace_field_degree(ts) == least, (h, p)
+            assert inside == (least == 1)
 
 
 LITERAL_LAW_FAILURES = [(8, 3), (8, 5), (12, 5), (24, 5), (12, 7), (16, 7), (24, 7), (48, 7)]
@@ -166,3 +175,70 @@ def test_coprimality_enforced():
         dihedral_trace_set(6, 2)
     with pytest.raises(ValueError):
         dihedral_trace_set(9, 3)
+
+
+def _random_contexts(count, seed):
+    """Seeded random monic moduli, reducible or not: the Frobenius map
+    e -> e^p is linear on F_p[x]/(f) for every f."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((2, 3, 5, 7, 11))
+        m = rng.choice((1, 2, 3, rng.randint(4, 100)))
+        tail = np.array([rng.randrange(p) for _ in range(m)], dtype=np.int64)
+        yield FieldContext(p, m, tail)
+
+
+def test_frobenius_matrix_against_repeated_products():
+    for ctx in _random_contexts(36, seed=5):
+        p, m = ctx.p, ctx.m
+        x = ctx._reduce(np.array([0, 1], dtype=np.int64))
+        xp = x
+        for _ in range(p - 1):
+            xp = ctx._mul(xp, x)
+        col = ctx._reduce(np.array([1], dtype=np.int64))
+        cols = [col]
+        for _ in range(m - 1):
+            col = ctx._mul(col, xp)
+            cols.append(col)
+        want = np.stack(cols, axis=1)
+        assert np.array_equal(ctx._frobenius_matrix(), want), ctx
+
+
+def test_frobenius_power_against_repeated_application():
+    fields = [make_field(2, 12), make_field(5, 6)]
+    for ctx in list(_random_contexts(12, seed=7)) + fields:
+        p, m = ctx.p, ctx.m
+        base = ctx._frobenius_matrix()
+        step = np.eye(m, dtype=np.int64)
+        for s in range(m + 3):
+            assert np.array_equal(ctx.frobenius_power(s), step), (ctx, s)
+            step = (base @ step) % p
+
+
+# sha256 over repr((p, h, m, modulus, element_of_order coefficients))
+# for every coprime (h, p) with h <= 200 and p <= 7, in loop order.  It
+# was recorded with a Rabin test and root search by repeated squaring,
+# an independent route to the same moduli and roots.
+ROOTS_DIGEST = "e08894d492dc4810b73e1b05dbd785382d5eaf4e5591c1be43e1c3c57746aab2"
+
+
+def test_moduli_and_roots_pinned():
+    digest = hashlib.sha256()
+    for p in (2, 3, 5, 7):
+        for h in range(1, 201):
+            if gcd(h, p) != 1:
+                continue
+            m = multiplicative_order(p, h) if h > 1 else 1
+            ctx = make_field(p, m)
+            z = element_of_order(ctx, h)
+            digest.update(repr((p, h, m, ctx.modulus, z.coeffs)).encode())
+    assert digest.hexdigest() == ROOTS_DIGEST
+
+
+def test_field_size_refused_past_exact_range():
+    # matrix products are exact float64 sums only while m*(p-1)^2 < 2^53
+    with pytest.raises(ValueError):
+        make_field(2147483647, 1)
+    with pytest.raises(ValueError):
+        make_field(94906297, 1)  # (p-1)^2 just above 2^53
+    assert make_field(94906249, 1).m == 1  # (p-1)^2 just below

@@ -3,7 +3,8 @@ as a set of reduced forms under composition.
 
 The suitability test here is the gate for everything dihedral: a group
 qualifies for a prime p exactly when the prime-to-p part of its exponent
-does not divide p^2 - 1.
+does not divide p^2 - 1.  That law is written once, in ``_within_bound``,
+and the order screen of ``density`` uses it too.
 
 Structure from forms works on plain ``(a, b, c)`` tuples through the
 private kernel of ``forms``; ``QuadForm`` objects appear only at the edges,
@@ -80,15 +81,21 @@ def has_cyclic_quotient(G: AbelianGroup, h: int) -> bool:
     return G.exponent % h == 0
 
 
+def _within_bound(e: int, p: int) -> bool:
+    """Whether the prime-to-p part of e divides p^2 - 1.  A group of
+    exponent e is p-suitable exactly when this fails; the one place the
+    law is written."""
+    return (p * p - 1) % prime_to_p_part(e, p) == 0
+
+
 def is_p_suitable(G: AbelianGroup, p: int) -> SuitabilityReport:
     """Whether G has a cyclic quotient of order h with p not dividing h and
     h not dividing p^2 - 1; witness_h is the smallest such h.
     """
-    e_prime = prime_to_p_part(G.exponent, p)
-    bound = p * p - 1
-    if bound % e_prime == 0:
+    if _within_bound(G.exponent, p):
         return SuitabilityReport(p=p, suitable=False, witness_h=None)
-    witness = min(h for h in divisors(e_prime) if bound % h)
+    e_prime = prime_to_p_part(G.exponent, p)
+    witness = min(h for h in divisors(e_prime) if not _within_bound(h, p))
     return SuitabilityReport(p=p, suitable=True, witness_h=witness)
 
 

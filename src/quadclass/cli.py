@@ -145,6 +145,8 @@ def _cmd_traces(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    if len(args.p) != 1:
+        raise ValueError("density takes exactly one --p")
     cache = _cache(args)
     rows = []
     for X in args.bounds_list:

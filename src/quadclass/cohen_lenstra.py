@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, aut_order
-from .ntheory import factorize, primes_up_to
+from .ntheory import factorize, is_prime, primes_up_to
 from .sweep import check_budget, class_numbers
 
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -181,7 +181,7 @@ def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityCom
     The heuristic concerns the odd part of the class group, so p must
     be an odd prime.
     """
-    if p == 2 or p < 3 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p == 2 or not is_prime(p):
         raise ValueError("comparison is defined for odd primes only")
     counts = class_numbers(X, workers=workers)
     fund = int(np.count_nonzero(counts))

@@ -9,9 +9,12 @@ mask builder; the two are spot-checked against each other.
 The scans at the bottom (exponent-3, power-of-two census, suitable
 divisors, p-group fractions) sit on top of the shared class-number
 table (sweep.class_numbers) and a read-through class-group cache.
-Where a class-group structure is needed (not just the order h), a
-valuation screen on h settles most discriminants instantly and only
-the leftover cases pay for form enumeration.
+Questions about the exponent of a class group go through one of two
+shared pieces.  The exponent-3 scan asks forms.exponent_divides, which
+powers prime forms and needs no structure.  The suitable-divisor scan
+screens on h with the suitability law of abelian._within_bound, which
+settles most discriminants instantly; only the leftover cases pay for
+certified structure.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .abelian import AbelianGroup, is_p_suitable
-from .forms import ClassGroupCache, class_group
+from .abelian import AbelianGroup, _within_bound, is_p_suitable
+from .forms import ClassGroupCache, class_group, exponent_divides
 from .ntheory import factorize, is_squarefree, smallest_prime_factor
 from .sweep import check_budget, class_numbers
 
@@ -272,41 +275,14 @@ def landau_ratio_check(
 # ------------------------------------------------------------ exponent-3 scan
 
 
-_REJECT_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _has_exponent_three(d: int) -> bool:
-    """Whether CL(-d) has exponent exactly 3, for d with h(-d) = 3^k.
-
-    Cheap rejection first: any prime-form class whose cube is not
-    principal rules the group out.  Survivors get the exhaustive check
-    over all reduced forms.
-    """
-    from .forms import INERT, Ramified, enumerate_reduced, form_pow, prime_form, principal_form
-
-    D = -d
-    ident = principal_form(D)
-    for ell in _REJECT_PRIMES:
-        if d % ell == 0:
-            continue
-        pf = prime_form(D, ell)
-        if pf is INERT or isinstance(pf, Ramified):
-            continue
-        if form_pow(pf, 3) != ident:
-            return False
-    return all(form_pow(f, 3) == ident for f in enumerate_reduced(D))
-
-
-def _exp3_chunk(discs: list[int]) -> list[int]:
-    return [d for d in discs if _has_exponent_three(d)]
-
-
 def exponent3_scan(X: int, workers: int = 1, budget: int | None = None) -> list:
     """All fundamental D with |D| <= X and class group of exponent 3,
     ascending |D|, as full class-group records.
 
-    Candidates are read off the batch sweep: exponent 3 forces h = 3^k
-    (k >= 1), and h = 3 needs no further test.
+    Candidates are read off the class-number table: exponent 3 forces
+    h = 3^k (k >= 1).  h = 3 needs no further test; for larger h the
+    prime forms decide (forms.exponent_divides).  workers partitions the
+    class-number sweep only.
     """
     counts = class_numbers(X, workers=workers, budget=budget)
     powers = []
@@ -314,18 +290,11 @@ def exponent3_scan(X: int, workers: int = 1, budget: int | None = None) -> list:
     while h <= counts.max(initial=0):
         powers.append(h)
         h *= 3
-    candidate_ns = np.nonzero(np.isin(counts, powers))[0]
-    sure = [int(n) for n in candidate_ns if counts[n] == 3]
-    to_check = [int(n) for n in candidate_ns if counts[n] != 3]
-    if workers > 1 and len(to_check) > workers:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = [to_check[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            found = [d for part in pool.map(_exp3_chunk, chunks) for d in part]
-    else:
-        found = _exp3_chunk(to_check)
-    return [class_group(-d) for d in sorted(sure + found)]
+    return [
+        class_group(-n)
+        for n in np.nonzero(np.isin(counts, powers))[0].tolist()
+        if counts[n] == 3 or exponent_divides(-n, 3)
+    ]
 
 
 # ---------------------------------------------------------------- the census
@@ -351,25 +320,17 @@ def class_order_census(
 def _suitability_screen(h: int, p: int) -> bool | None:
     """Decide p-suitability of a class group from its order alone where
     possible: True/False when the order settles it, None when the
-    exponent's valuations are actually needed.
+    exponent is actually needed.
 
-    Every prime q dividing the order divides the exponent, so a prime
-    q != p with q not dividing p^2 - 1 certifies suitability; and if no
-    prime power in the order exceeds its allowance in p^2 - 1, the
-    prime-to-p part of the exponent divides p^2 - 1 and the group is
-    unsuitable.
+    The exponent e satisfies rad(h) | e | h, and suitability is monotone
+    in e under divisibility, so rad(h) already outside the bound
+    certifies suitability and h inside it certifies unsuitability.
     """
-    bound = p * p - 1
-    bound_fact = factorize(bound)
-    needs_structure = False
-    for q, v in factorize(h).items():
-        if q == p:
-            continue
-        if q not in bound_fact:
-            return True
-        if v > bound_fact[q]:
-            needs_structure = True
-    return None if needs_structure else False
+    if not _within_bound(math.prod(factorize(h)), p):
+        return True
+    if _within_bound(h, p):
+        return False
+    return None
 
 
 _suitable_disc_cache: dict[tuple[int, int], bool] = {}

@@ -314,16 +314,11 @@ class FieldElement:
 
     def in_subfield(self, s: int) -> bool:
         """Whether self lies in F_{p^s}, i.e. self^(p^s) = self."""
-        fs = self.ctx.frobenius_power(s)
-        vec = self._vec()
-        return bool(np.array_equal(_matmul(fs, vec, self.ctx.p), vec))
+        return _frobenius_fixes(self.ctx, self._vec(), s)
 
     def field_degree(self) -> int:
         """Degree over F_p of the subfield self generates."""
-        for s in divisors(self.ctx.m):
-            if self.in_subfield(s):
-                return s
-        raise AssertionError("element outside its own field")
+        return _fixed_degree(self.ctx, self._vec())
 
     def __repr__(self):
         p = self.ctx.p
@@ -335,6 +330,21 @@ class FieldElement:
                     + ("" if i == 0 else "x" if i == 1 else f"x^{i}")
                 )
         return "+".join(terms) if terms else "0"
+
+
+def _frobenius_fixes(ctx: FieldContext, rows: np.ndarray, s: int) -> bool:
+    """Whether e -> e^(p^s) fixes every coefficient row of rows (one
+    vector, or one per row of a matrix), i.e. all lie in F_{p^s}."""
+    return bool(np.array_equal(_matmul(rows, ctx.frobenius_power(s).T, ctx.p), rows))
+
+
+def _fixed_degree(ctx: FieldContext, rows: np.ndarray) -> int:
+    """Least s | m with every row in F_{p^s}: the degree over F_p of the
+    field the rows generate."""
+    for s in divisors(ctx.m):
+        if _frobenius_fixes(ctx, rows, s):
+            return s
+    raise AssertionError("elements outside their own field")
 
 
 def _is_irreducible(ctx: FieldContext) -> bool:
@@ -486,16 +496,15 @@ def dihedral_trace_set(h: int, p: int) -> TraceSet:
     )
 
 
+def _trace_rows(ts: TraceSet) -> np.ndarray:
+    return np.array([t.coeffs for t in ts.diagonal], dtype=np.int64)
+
+
 def traces_all_in_subfield(ts: TraceSet, s: int) -> bool:
     """Whether every trace lies in F_{p^s} (Frobenius fixed points)."""
-    fs = ts.ctx.frobenius_power(s)
-    mat = np.array([t.coeffs for t in ts.diagonal], dtype=np.int64)
-    return bool(np.array_equal(_matmul(mat, fs.T, ts.ctx.p), mat))
+    return _frobenius_fixes(ts.ctx, _trace_rows(ts), s)
 
 
 def trace_field_degree(ts: TraceSet) -> int:
     """Degree over F_p of the field generated by all the traces."""
-    for s in divisors(ts.ctx.m):
-        if traces_all_in_subfield(ts, s):
-            return s
-    raise AssertionError("traces outside their own field")
+    return _fixed_degree(ts.ctx, _trace_rows(ts))

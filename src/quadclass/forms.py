@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
-from math import gcd, isqrt
+from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
-from .ntheory import is_squarefree, kronecker, sqrt_mod_prime, squarefree_mask, xgcd
+from .ntheory import is_squarefree, kronecker, primes_up_to, sqrt_mod_prime, squarefree_mask, xgcd
 
 
 def is_fundamental(D: int) -> bool:
@@ -51,21 +51,8 @@ def fundamental_mask(limit: int) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """A negative discriminant, with its fundamentality precomputed."""
-
-    value: int
-    fundamental: bool = field(init=False)
-
-    def __post_init__(self):
-        if self.value >= 0 or self.value % 4 not in (0, 1):
-            raise ValueError(f"{self.value} is not a negative discriminant")
-        object.__setattr__(self, "fundamental", is_fundamental(self.value))
-
-
 def _disc_value(D) -> int:
-    v = D.value if isinstance(D, Discriminant) else int(D)
+    v = int(D)
     if v >= 0 or v % 4 not in (0, 1):
         raise ValueError(f"{v} is not a negative discriminant")
     return v
@@ -84,19 +71,6 @@ class QuadForm:
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    @property
-    def is_reduced(self) -> bool:
-        a, b, c = self.a, self.b, self.c
-        if not (abs(b) <= a <= c):
-            return False
-        if b < 0 and (abs(b) == a or a == c):
-            return False
-        return True
-
-    @property
-    def is_primitive(self) -> bool:
-        return gcd(gcd(self.a, self.b), self.c) == 1
 
     def inverse(self) -> "QuadForm":
         return reduce_form(QuadForm(self.a, -self.b, self.c))
@@ -295,6 +269,37 @@ def prime_form(D, ell: int):
     s = sqrt_mod_prime(D % ell, ell)
     b = s if (s - D) % 2 == 0 else ell - s
     return reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell)))
+
+
+def exponent_divides(D, n: int) -> bool:
+    """Whether n kills every class of the fundamental discriminant D,
+    i.e. whether the exponent of Cl(D) divides n.
+
+    Every class has a reduced representative (a, b, c) with
+    a <= sqrt(|D|/3), and its ideal of norm a is a product of prime
+    ideals of norm at most a; inert primes give principal ideals.  So the
+    split and ramified prime forms of norm at most sqrt(|D|/3) generate
+    Cl(D), unconditionally, and n kills the group exactly when it kills
+    each of them.  No enumeration and no structure is needed.
+
+    >>> exponent_divides(-4027, 3), exponent_divides(-23, 2)
+    (True, False)
+    """
+    D = _disc_value(D)
+    if not is_fundamental(D):
+        raise ValueError(f"{D} is not a fundamental discriminant")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    e = principal_form(D)
+    one = (e.a, e.b, e.c)
+    for ell in primes_up_to(isqrt(-D // 3)).tolist():
+        pf = prime_form(D, ell)
+        if pf is INERT:
+            continue
+        f = pf.form if isinstance(pf, Ramified) else pf
+        if _pow((f.a, f.b, f.c), n, lambda x, y: _compose(x, y, D)) != one:
+            return False
+    return True
 
 
 @dataclass

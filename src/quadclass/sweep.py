@@ -15,9 +15,9 @@ the raw count equal h(D).  class_numbers applies that restriction
 once and keeps the result as the single class-number table every scan
 reads; the raw counter is exposed for tests.
 
-Work is partitioned across processes by striding the outer loop
-variable; partial counters merge by addition, so worker count never
-changes results.
+sweep_counts partitions its work across processes by striding the
+outer loop variable; partial counters merge by addition, so worker
+count never changes results.
 """
 
 from __future__ import annotations
@@ -73,28 +73,6 @@ def _sweep_slice(limit: int, a_start: int, a_step: int) -> np.ndarray:
     return counts
 
 
-def _count_slice(abs_disc: int, b_start: int, b_step: int) -> int:
-    """Number of reduced forms with 4ac - b^2 = abs_disc, summed over
-    b in {b_start, b_start + b_step, ...}."""
-    total = 0
-    for b in range(b_start, isqrt(abs_disc // 3) + 1, b_step):
-        n = (b * b + abs_disc) // 4
-        lo = max(b, 1)
-        hi = isqrt(n)
-        if hi < lo:
-            continue
-        a = np.arange(lo, hi + 1, dtype=np.int64)
-        a = a[n % a == 0]
-        if not a.size:
-            continue
-        if b == 0:
-            total += a.size
-        else:
-            c = n // a
-            total += int(np.where((a == b) | (a == c), 1, 2).sum())
-    return total
-
-
 def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
     """counts[n] = number of reduced forms of discriminant -n, n <= limit.
 
@@ -112,7 +90,7 @@ def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
     return total
 
 
-def count_reduced_forms(abs_disc: int, workers: int = 1) -> int:
+def count_reduced_forms(abs_disc: int) -> int:
     """Number of reduced forms with |disc| = abs_disc, by trial division
     over b.  Equals h(-abs_disc) when -abs_disc is fundamental.  Built
     for single very large discriminants where a full sweep is absurd.
@@ -123,12 +101,23 @@ def count_reduced_forms(abs_disc: int, workers: int = 1) -> int:
         b0 = 1
     else:
         raise ValueError(f"{-abs_disc} is not a discriminant")
-    if workers <= 1:
-        return _count_slice(abs_disc, b0, 2)
-    starts = range(b0, b0 + 2 * workers, 2)
-    steps = [2 * workers] * workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_slice, [abs_disc] * workers, starts, steps))
+    total = 0
+    for b in range(b0, isqrt(abs_disc // 3) + 1, 2):
+        n = (b * b + abs_disc) // 4
+        lo = max(b, 1)
+        hi = isqrt(n)
+        if hi < lo:
+            continue
+        a = np.arange(lo, hi + 1, dtype=np.int64)
+        a = a[n % a == 0]
+        if not a.size:
+            continue
+        if b == 0:
+            total += a.size
+        else:
+            c = n // a
+            total += int(np.where((a == b) | (a == c), 1, 2).sum())
+    return total
 
 
 # h[n] = h(-n) for fundamental -n, 0 otherwise; read-only, grown on demand

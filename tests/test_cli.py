@@ -184,6 +184,7 @@ def test_budget_error_exit_code(capsys):
         ["traces", "--orders", "5", "--p", "2147483647"],
         ["traces", "--orders", "2", "--p", "94906297"],
         ["witness", "--disc", "-47", "--p", "2147483647", "--bound", "100"],
+        ["density", "--p", "2", "--p", "3", "--bounds", "1000"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadclass.abelian import is_p_suitable
+from quadclass.cohen_lenstra import enumerate_groups
 from quadclass.density import (
     CENSUS_REFERENCE_BOUND,
+    _suitability_screen,
     all_integers,
     class_order_census,
     dilate,
@@ -226,6 +229,17 @@ def test_pgroup_density_trend_and_small_value():
 def test_suitable_divisor_density_tiny_bound_is_zero():
     est = suitable_divisor_density(2, 10)
     assert est.count_member == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_suitability_screen_against_every_group_of_each_order(p):
+    """The order screen is exact: True when every abelian group of order
+    h is p-suitable, False when none is, None when the order leaves it
+    open."""
+    for h in range(1, 257):
+        verdicts = {is_p_suitable(G, p).suitable for G in enumerate_groups(h)}
+        want = verdicts.pop() if len(verdicts) == 1 else None
+        assert _suitability_screen(h, p) == want, (h, p)
 
 
 def test_suitable_classifier_against_enumeration():

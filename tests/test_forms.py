@@ -1,4 +1,5 @@
 import csv
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from quadclass.forms import (
     class_number,
     compose,
     enumerate_reduced,
+    exponent_divides,
     form_pow,
     fundamental_mask,
     is_fundamental,
@@ -257,3 +259,46 @@ def test_cache_env_default(tmp_path, monkeypatch):
 def test_non_fundamental_rejected_or_flagged():
     rec = class_group(-12)
     assert not rec.fundamental
+
+
+def _exponent_queries(h: int) -> list[int]:
+    """3, and h with its q-part replaced by q^k for q in {2, 3, 5} and
+    k in {0, 1, 2}: each asks whether the q-part of the exponent is at
+    most q^k."""
+    ns = {3}
+    for q in (2, 3, 5):
+        core = h
+        while core % q == 0:
+            core //= q
+        ns.update(core * q**k for k in range(3))
+    return sorted(ns)
+
+
+def _check_exponent_divides(D: int) -> None:
+    record = class_group(D)
+    for n in _exponent_queries(record.class_number):
+        assert exponent_divides(D, n) == (n % record.structure.exponent == 0), (D, n)
+
+
+def test_exponent_divides_matches_structure_small_range():
+    discs = [-n for n in range(3, 5001) if is_fundamental(-n)]
+    assert len(discs) == 1524
+    for D in discs:
+        _check_exponent_divides(D)
+
+
+def test_exponent_divides_matches_structure_near_one_million():
+    rng = random.Random(20261018)
+    discs = set()
+    while len(discs) < 100:
+        D = -rng.randrange(10**6, 10**6 + 50000)
+        if is_fundamental(D):
+            discs.add(D)
+    for D in sorted(discs, reverse=True):
+        _check_exponent_divides(D)
+
+
+@pytest.mark.parametrize("D, n", [(-12, 3), (-23, 0), (-23, -3)])
+def test_exponent_divides_rejects_bad_input(D, n):
+    with pytest.raises(ValueError):
+        exponent_divides(D, n)

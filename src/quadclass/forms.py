@@ -14,6 +14,7 @@ validated ``QuadForm`` objects and convert once at that edge.
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass
 from math import isqrt
@@ -52,7 +53,12 @@ def fundamental_mask(limit: int) -> np.ndarray:
 
 
 def _disc_value(D) -> int:
-    v = int(D)
+    """D as an int, validated; a float is refused (TypeError), not
+    truncated, while numpy integers are accepted."""
+    try:
+        v = operator.index(D)
+    except TypeError:
+        raise TypeError(f"a discriminant must be an integer, not {D!r}") from None
     if v >= 0 or v % 4 not in (0, 1):
         raise ValueError(f"{v} is not a negative discriminant")
     return v
@@ -188,29 +194,41 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
 def enumerate_reduced(D) -> list[QuadForm]:
     """All primitive reduced forms of discriminant D, ordered by (a, b).
 
+    A reduced form has |b| <= a <= c, so a <= sqrt(|D|/3).  The (a, b)
+    pairs with 0 <= b <= a and b = D mod 2 are tested as one numpy grid,
+    in blocks of about 2^14 pairs (a from lo up to about
+    sqrt(lo^2 + 2^16)) so that memory stays flat as |D| grows; each pair
+    that passes gives (a, b, c) and, when that is not its own reduced
+    inverse, (a, -b, c).
+
     >>> enumerate_reduced(-23)
     [(1,1,6), (2,-1,3), (2,1,3)]
     """
     D = _disc_value(D)
     absD = -D
-    forms = []
     parity = absD & 1
-    for a in range(1, isqrt(absD // 3) + 1):
-        bs = np.arange(parity, a + 1, 2, dtype=np.int64)
-        num = bs * bs + absD
+    top = isqrt(absD // 3)
+    found = []
+    lo = 1
+    while lo <= top:
+        hi = min(isqrt(lo * lo + 2**16), top) + 1
+        a_run = np.arange(lo, hi, dtype=np.int64)
+        per_a = (a_run - parity) // 2 + 1  # b = parity, parity + 2, ..., <= a
+        a = np.repeat(a_run, per_a)
+        first = np.repeat(np.cumsum(per_a) - per_a, per_a)
+        b = parity + 2 * (np.arange(len(a), dtype=np.int64) - first)
+        num = b * b + absD
         sel = num % (4 * a) == 0
-        bs, num = bs[sel], num[sel]
-        cs = num // (4 * a)
-        sel = cs >= a
-        bs, cs = bs[sel], cs[sel]
-        if not len(bs):
-            continue
-        prim = np.gcd(np.gcd(bs, a), cs) == 1
-        for b, c in zip(bs[prim].tolist(), cs[prim].tolist()):
-            if 0 < b < a and c > a:
-                forms.append(QuadForm(a, -b, c))
-            forms.append(QuadForm(a, b, c))
-    return sorted(forms, key=lambda f: (f.a, f.b))
+        a, b = a[sel], b[sel]
+        c = num[sel] // (4 * a)
+        sel = (c >= a) & (np.gcd(np.gcd(b, a), c) == 1)
+        found.append((a[sel], b[sel], c[sel]))
+        lo = hi
+    a, b, c = (np.concatenate(col) for col in zip(*found))
+    neg = (0 < b) & (b < a) & (c > a)
+    a, b, c = np.r_[a, a[neg]], np.r_[b, -b[neg]], np.r_[c, c[neg]]
+    order = np.lexsort((b, a))
+    return [QuadForm(*f) for f in zip(a[order].tolist(), b[order].tolist(), c[order].tolist())]
 
 
 def class_number(D) -> int:

@@ -5,7 +5,10 @@ implementations have something independent to be judged against:
 automorphism counts by explicit endomorphism enumeration where the
 candidate space is small, and by Moebius counting over the explicitly
 built subgroup lattice where it is not; quotients by walking every
-subgroup; class numbers by scanning coefficient boxes.
+subgroup; class numbers by scanning coefficient boxes.  Two retired fast
+paths stay here as oracles for the routes that replaced them: class-group
+structure from the projection of every form into each Sylow subgroup, and
+reduced forms enumerated one leading coefficient at a time.
 
 Groups of order up to 64 are modeled concretely: elements are indexed
 0..n-1, the addition table is materialized, and subgroups live as int
@@ -17,6 +20,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt
+
+import numpy as np
+
+from quadclass.abelian import _CheckedGroup
+from quadclass.forms import QuadForm
+from quadclass.ntheory import factorize
 
 
 # ----------------------------------------------------- concrete group model
@@ -224,3 +233,97 @@ def partition_count(v: int) -> int:
             k += 1
         P[m] = total
     return P[v]
+
+
+# ------------------------------------------------------ retired fast paths
+
+
+def enumerate_reduced_per_a(D: int) -> list[QuadForm]:
+    """Primitive reduced forms of discriminant D, ordered by (a, b), with
+    one numpy pass over b for each leading coefficient a."""
+    absD = -D
+    forms = []
+    parity = absD & 1
+    for a in range(1, isqrt(absD // 3) + 1):
+        bs = np.arange(parity, a + 1, 2, dtype=np.int64)
+        num = bs * bs + absD
+        sel = num % (4 * a) == 0
+        bs, num = bs[sel], num[sel]
+        cs = num // (4 * a)
+        sel = cs >= a
+        bs, cs = bs[sel], cs[sel]
+        if not len(bs):
+            continue
+        prim = np.gcd(np.gcd(bs, a), cs) == 1
+        for b, c in zip(bs[prim].tolist(), cs[prim].tolist()):
+            if 0 < b < a and c > a:
+                forms.append(QuadForm(a, -b, c))
+            forms.append(QuadForm(a, b, c))
+    return sorted(forms, key=lambda f: (f.a, f.b))
+
+
+def sylow_sets_by_projection(group: _CheckedGroup) -> dict[int, list[tuple]]:
+    """Each Sylow p-subgroup, sorted, as the image of every element under
+    x -> x^(h/p^v)."""
+    h = len(group.elements)
+    return {
+        p: sorted({group.pow(f, h // p**v) for f in group.elements})
+        for p, v in sorted(factorize(h).items())
+    }
+
+
+def _basis_by_powers(group: _CheckedGroup, sylow: list[tuple], p: int):
+    """Basis of a p-group from coset orders found by powering each
+    element again at every step."""
+    span = {group.identity: ()}
+    basis, orders = [], []
+    while len(span) < len(sylow):
+        best_t, best_chain = 0, None
+        for x in sylow:
+            if x in span:
+                continue
+            chain = [x]
+            while chain[-1] not in span:
+                chain.append(group.pow(chain[-1], p))
+            if len(chain) - 1 > best_t:
+                best_t, best_chain = len(chain) - 1, chain
+        g, q = best_chain[0], p**best_t
+        adjust = group.identity
+        for b, ordb, ci in zip(basis, orders, span[best_chain[-1]]):
+            assert ci % min(q, ordb) == 0
+            if ordb > q and (ci // q) % ordb:
+                adjust = group.mul(adjust, group.pow(b, (ci // q) % ordb))
+        g = group.mul(g, group.inverse(adjust))
+        new_span = {}
+        for k in range(q):
+            gk = group.pow(g, k)
+            for s, vec in span.items():
+                key = group.mul(s, gk)
+                assert key not in new_span
+                new_span[key] = vec + (k,)
+        span = new_span
+        basis.append(g)
+        orders.append(q)
+    return basis, orders
+
+
+def structure_by_projection(forms: list[QuadForm]) -> tuple[tuple[int, ...], list]:
+    """Invariant factors and (generator, order) pairs, ascending, from
+    the Sylow sets of ``sylow_sets_by_projection``."""
+    group = _CheckedGroup(forms)
+    per_prime = {}
+    for p, sylow in sylow_sets_by_projection(group).items():
+        basis, orders = _basis_by_powers(group, sylow, p)
+        ranked = sorted(range(len(orders)), key=lambda i: -orders[i])
+        per_prime[p] = [(basis[i], orders[i]) for i in ranked]
+    slots = max((len(pairs) for pairs in per_prime.values()), default=0)
+    combined = []
+    for slot in range(slots):
+        gen, order = group.identity, 1
+        for pairs in per_prime.values():
+            if slot < len(pairs):
+                gen = group.mul(gen, pairs[slot][0])
+                order *= pairs[slot][1]
+        combined.append((QuadForm(*gen), order))
+    combined.reverse()
+    return tuple(order for _, order in combined), combined

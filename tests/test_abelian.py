@@ -1,11 +1,15 @@
+import random
 from collections import Counter
 from math import lcm
 
 import pytest
 
+from quadclass import abelian
 from quadclass.abelian import (
     AbelianGroup,
     _CheckedGroup,
+    _close,
+    _sylow_set,
     aut_order,
     element_order,
     has_cyclic_quotient,
@@ -13,6 +17,7 @@ from quadclass.abelian import (
     structure_from_forms,
 )
 from quadclass.forms import (
+    class_group,
     class_number,
     compose,
     enumerate_reduced,
@@ -20,13 +25,16 @@ from quadclass.forms import (
     is_fundamental,
     principal_form,
 )
+from quadclass.ntheory import factorize
 
 from _oracles import (
     aut_order_by_enumeration,
     aut_order_by_moebius,
     cyclic_quotient_orders,
     small_group,
+    structure_by_projection,
     suitable_by_enumeration,
+    sylow_sets_by_projection,
 )
 
 ORDER_BOUND = 64
@@ -207,3 +215,71 @@ def test_invalid_chain_rejected():
         AbelianGroup((4, 2))
     with pytest.raises(ValueError):
         AbelianGroup((1, 2))
+
+
+def _check_against_projection(D: int) -> None:
+    # Sylow sets from the closure of the projected generating set, and the
+    # structure built on them, against the projection of every form
+    forms = enumerate_reduced(D)
+    group = _CheckedGroup(forms)
+    _, gens = _close(group, sorted(group.elements), size=len(forms))
+    oracle = sylow_sets_by_projection(group)
+    for p, v in factorize(len(forms)).items():
+        assert _sylow_set(group, gens, p, v) == oracle[p], (D, p)
+    rec = class_group(D)
+    assert (rec.structure.invariant_factors, rec.generators) == structure_by_projection(forms), D
+
+
+def test_structure_matches_projection_oracle_small_range():
+    # every discriminant, fundamental or not, with |D| < 5000
+    discs = [-d for d in range(3, 5000) if -d % 4 in (0, 1)]
+    assert len(discs) == 2499
+    for D in discs:
+        _check_against_projection(D)
+
+
+def test_structure_matches_projection_oracle_near_one_million():
+    rng = random.Random(20261019)
+    discs = set()
+    while len(discs) < 60:
+        D = -rng.randrange(10**6, 10**6 + 50000)
+        if is_fundamental(D):
+            discs.add(D)
+    for D in sorted(discs, reverse=True):
+        _check_against_projection(D)
+
+
+# C3xC3, C3xC9, C5xC20, C2xC324 (h = 648) and C4xC128 (h = 512)
+COMPOSITION_PANEL = (-4027, -3299, -11199, -304871, -303743)
+
+
+def test_structure_compositions_linear_in_h(monkeypatch):
+    # no timing: count checked products.  The retired route, which powered
+    # every form to each Sylow cofactor and every Sylow element again for
+    # the chain walks and the torsion check, took 6.7h to 15.5h on this
+    # panel; the generating-set closure takes at most 4.1h
+    calls = 0
+    compose = abelian._compose
+
+    def counted(f, g, D):
+        nonlocal calls
+        calls += 1
+        return compose(f, g, D)
+
+    monkeypatch.setattr(abelian, "_compose", counted)
+    for D in COMPOSITION_PANEL:
+        forms = enumerate_reduced(D)
+        calls = 0
+        structure_from_forms(forms)
+        assert calls <= 5 * len(forms), (D, calls, len(forms))
+
+
+@pytest.mark.parametrize("D", [-231, -4027, -3299, -11199])
+def test_missing_form_rejected_by_closure(D):
+    forms = enumerate_reduced(D)
+    identity = principal_form(D)
+    for f in forms:
+        if f == identity:
+            continue
+        with pytest.raises(ValueError, match="composition left the input set"):
+            structure_from_forms([g for g in forms if g != f])

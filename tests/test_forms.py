@@ -1,7 +1,9 @@
 import csv
+import hashlib
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -26,7 +28,7 @@ from quadclass.forms import (
 )
 from quadclass.ntheory import is_squarefree
 
-from _oracles import class_number_by_box_scan
+from _oracles import class_number_by_box_scan, enumerate_reduced_per_a
 
 # fundamental, mixed parity and class-group shape
 SAMPLE_DISCS = [-3, -4, -8, -23, -47, -71, -163, -231, -420, -4027]
@@ -57,6 +59,25 @@ def test_reduced_enumeration_matches_box_scan():
         if -d % 4 not in (0, 1):
             continue
         assert class_number(-d) == class_number_by_box_scan(-d), -d
+
+
+def test_enumerate_reduced_matches_per_a_loop_small_range():
+    for d in range(3, 20001):
+        if -d % 4 in (0, 1):
+            assert enumerate_reduced(-d) == enumerate_reduced_per_a(-d), -d
+
+
+def test_enumerate_reduced_matches_per_a_loop_large():
+    # past |D| = 2e5 the (a, b) grid spans several blocks; 4e6 about twenty
+    rng = random.Random(20261019)
+    discs = [-4 * 10**6, -(4 * 10**6 - 1), -200004, -200003]
+    while len(discs) < 40:
+        D = -rng.randrange(3, 4 * 10**6)
+        if D % 4 in (0, 1):
+            discs.append(D)
+    assert sum(D < -2 * 10**5 for D in discs) >= 30
+    for D in discs:
+        assert enumerate_reduced(D) == enumerate_reduced_per_a(D), D
 
 
 def test_enumerate_reduced_forms_are_reduced_and_distinct():
@@ -178,6 +199,22 @@ def test_class_group_known_structures():
         rec = class_group(D)
         assert (rec.class_number, rec.structure.invariant_factors) == (h, factors), D
         assert rec.generators == [(QuadForm(*g), k) for g, k in zip(gens, factors)], D
+
+
+# sha256 of (D, invariant factors, generators with orders) over every D
+# with |D| < 5000, recorded before structure came from a generating set
+CLASS_GROUPS_DIGEST = "d7e7eabbce3e90141f6e3fcaef8a494506809d579e46edd746bbc10bd1a0c0bc"
+
+
+def test_class_groups_and_generators_pinned():
+    digest = hashlib.sha256()
+    for d in range(3, 5000):
+        if -d % 4 not in (0, 1):
+            continue
+        rec = class_group(-d)
+        gens = tuple((g.a, g.b, g.c, k) for g, k in rec.generators)
+        digest.update(repr((-d, rec.structure.invariant_factors, gens)).encode())
+    assert digest.hexdigest() == CLASS_GROUPS_DIGEST
 
 
 def test_class_group_structure_consistent():
@@ -302,3 +339,21 @@ def test_exponent_divides_matches_structure_near_one_million():
 def test_exponent_divides_rejects_bad_input(D, n):
     with pytest.raises(ValueError):
         exponent_divides(D, n)
+
+
+ENTRY_POINTS = {
+    "class_group": lambda D: class_group(D).disc,
+    "enumerate_reduced": enumerate_reduced,
+    "prime_form": lambda D: prime_form(D, 2),
+    "exponent_divides": lambda D: exponent_divides(D, 3),
+    "ClassGroupCache.get": lambda D: ClassGroupCache(None).get(D),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_non_integer_discriminant_refused(name, monkeypatch):
+    monkeypatch.delenv(CACHE_ENV, raising=False)
+    call = ENTRY_POINTS[name]
+    with pytest.raises(TypeError, match="must be an integer"):
+        call(-23.7)
+    assert call(np.int64(-23)) == call(-23)

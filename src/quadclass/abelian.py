@@ -310,9 +310,12 @@ def _check_torsion(group: _CheckedGroup, pmap: dict[tuple, tuple], p: int, order
         raise RuntimeError("basis orders disagree with torsion counts")
 
 
-def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
+def structure_from_forms(
+    forms: list[QuadForm],
+) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]]:
     """Invariant factors of the class group given as its full list of
-    reduced forms; optionally also a generator per invariant factor.
+    reduced forms, and a (generator, order) pair per invariant factor,
+    ascending with the factors.
 
     The sorted forms are walked once to grow the whole group coset by
     coset; the forms that extended it form a generating set.  For each
@@ -330,8 +333,7 @@ def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
     group = _CheckedGroup(forms)
     h = group.order
     if h == 1:
-        result = AbelianGroup(())
-        return (result, []) if with_generators else result
+        return AbelianGroup(()), []
 
     walk = sorted(group.elements)
     _, gens = _close(group, walk, size=h)
@@ -356,8 +358,7 @@ def structure_from_forms(forms: list[QuadForm], with_generators: bool = False):
                 order *= orders[i]
         combined.append((QuadForm(*gen), order))
     combined.reverse()  # ascending, aligned with invariant factors
-    result = AbelianGroup(tuple(order for _, order in combined))
-    return (result, combined) if with_generators else result
+    return AbelianGroup(tuple(order for _, order in combined)), combined
 
 
 def _ilog(n: int, p: int) -> int:

@@ -20,9 +20,13 @@ from fractions import Fraction
 
 from . import cohen_lenstra, density, dihedral, finitefield
 from .abelian import AbelianGroup, is_p_suitable
-from .forms import CACHE_ENV, ClassGroupCache, class_group
+from .forms import ClassGroupCache, class_group
 from .ntheory import is_prime
 from .sweep import ResourceLimitError, batch_class_numbers
+
+#: Environment variable naming the class-group cache when --cache-path
+#: is not given; the CLI is the only reader of the environment.
+CACHE_ENV = "QUADCLASS_CACHE"
 
 
 def _emit(headers: list[str], rows: list[list], args) -> int:
@@ -66,8 +70,8 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    table = batch_class_numbers(args.max_abs_disc, workers=args.workers)
-    rows = [[d, h] for d, h in table.items()]
+    ns, hs = batch_class_numbers(args.max_abs_disc, workers=args.workers)
+    rows = list(zip((-ns).tolist(), hs.tolist()))
     return _emit(["disc", "h"], rows, args)
 
 

@@ -97,14 +97,12 @@ def _coprime_orders(S: frozenset[int], x: int) -> list[int]:
     return out
 
 
-def weighted_sum_coprime(
-    S: Iterable[int], x: int, budget: int | None = None
-) -> Fraction:
+def weighted_sum_coprime(S: Iterable[int], x: int) -> Fraction:
     """Sum of 1/#Aut(G) over all abelian G with #G <= x coprime to
     every prime in S.  Exact."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    check_budget("x", x, budget, DEFAULT_ENUM_BUDGET, "enumeration")
+    check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
     total = Fraction(0)
     for n in _coprime_orders(frozenset(S), x):
         for G in enumerate_groups(n):
@@ -124,14 +122,11 @@ def prime_reciprocal_sum(S: Iterable[int], x: int) -> Fraction:
 
 
 def partial_average(
-    f: Callable[[AbelianGroup], bool],
-    S: Iterable[int],
-    x: int,
-    budget: int | None = None,
+    f: Callable[[AbelianGroup], bool], S: Iterable[int], x: int
 ) -> Fraction:
     """The f-weighted share of the total weight over orders <= x
     coprime to S: an exact finite stand-in for the limiting average."""
-    check_budget("x", x, budget, DEFAULT_ENUM_BUDGET, "enumeration")
+    check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
     num = Fraction(0)
     den = Fraction(0)
     for n in _coprime_orders(frozenset(S), x):

@@ -9,6 +9,9 @@ mask builder; the two are spot-checked against each other.
 The scans at the bottom (exponent-3, power-of-two census, suitable
 divisors, p-group fractions) sit on top of the shared class-number
 table (sweep.class_numbers) and a read-through class-group cache.
+They keep fixed caps: the sieves refuse X past DEFAULT_SIEVE_BUDGET and
+the table refuses X past its class-data cap.  Only the census passes a
+budget through to the table, for runs at the reference bound.
 Questions about the exponent of a class group go through one of two
 shared pieces.  The exponent-3 scan asks forms.exponent_divides, which
 powers prime forms and needs no structure.  The suitable-divisor scan
@@ -172,12 +175,10 @@ class DensityEstimate:
         return self.count_member / self.count_ambient
 
 
-def estimate(
-    M: IntegerSet, N: IntegerSet, X: int, budget: int | None = None
-) -> DensityEstimate:
+def estimate(M: IntegerSet, N: IntegerSet, X: int) -> DensityEstimate:
     """Density of M within N up to X by exact enumeration (M is measured
     as M cap N, so M need not be a subset)."""
-    check_budget("X", X, budget, DEFAULT_SIEVE_BUDGET, "sieve")
+    check_budget("X", X, DEFAULT_SIEVE_BUDGET, "sieve")
     if X < 1:
         raise ValueError("bound must be >= 1")
     ambient = N.mask_up_to(X)
@@ -236,12 +237,10 @@ class LandauTable:
         raise KeyError(f"{x} is not a sample point")
 
 
-def landau_count(
-    X: int, modulus: int, residues: Iterable[int], budget: int | None = None
-) -> LandauTable:
+def landau_count(X: int, modulus: int, residues: Iterable[int]) -> LandauTable:
     """M(x) = #{n <= x with all prime factors in the residue classes},
     at geometric sample points up to X."""
-    check_budget("X", X, budget, DEFAULT_SIEVE_BUDGET, "sieve")
+    check_budget("X", X, DEFAULT_SIEVE_BUDGET, "sieve")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     rs = frozenset(r % modulus for r in residues)
@@ -255,14 +254,14 @@ def landau_count(
 
 
 def landau_ratio_check(
-    X: int, modulus: int, residues: Iterable[int], budget: int | None = None
+    X: int, modulus: int, residues: Iterable[int]
 ) -> list[tuple[int, float]]:
     """The normalized sequence r(x) = M(x) * (log x)^(1 - r/phi(A)) / x
     at the sample grid.  The asymptotic shape predicts slow variation;
     no constant is asserted here."""
     if X < 1000:
         raise ValueError("need X >= 1000 for a meaningful grid")
-    table = landau_count(X, modulus, residues, budget=budget)
+    table = landau_count(X, modulus, residues)
     phi = modulus
     for q in factorize(modulus):
         phi -= phi // q
@@ -275,7 +274,7 @@ def landau_ratio_check(
 # ------------------------------------------------------------ exponent-3 scan
 
 
-def exponent3_scan(X: int, workers: int = 1, budget: int | None = None) -> list:
+def exponent3_scan(X: int, workers: int = 1) -> list:
     """All fundamental D with |D| <= X and class group of exponent 3,
     ascending |D|, as full class-group records.
 
@@ -284,7 +283,7 @@ def exponent3_scan(X: int, workers: int = 1, budget: int | None = None) -> list:
     prime forms decide (forms.exponent_divides).  workers partitions the
     class-number sweep only.
     """
-    counts = class_numbers(X, workers=workers, budget=budget)
+    counts = class_numbers(X, workers=workers)
     powers = []
     h = 3
     while h <= counts.max(initial=0):
@@ -307,7 +306,8 @@ def class_order_census(
     budget: int | None = None,
 ) -> dict[int, int]:
     """For each target order h*, the number of fundamental discriminants
-    with |D| < X (strict) and h(D) = h*."""
+    with |D| < X (strict) and h(D) = h*.  budget, when given, replaces
+    the class-data cap of sweep.class_numbers."""
     counts = class_numbers(X, workers=workers, budget=budget)[:X]
     return {
         int(h): int(np.count_nonzero(counts == h)) for h in sorted(set(target_orders))
@@ -361,11 +361,7 @@ def is_suitable_fundamental_disc(
 
 
 def suitable_divisor_mask(
-    p: int,
-    X: int,
-    workers: int = 1,
-    budget: int | None = None,
-    cache: ClassGroupCache | None = None,
+    p: int, X: int, workers: int = 1, cache: ClassGroupCache | None = None
 ) -> np.ndarray:
     """mask[N] iff some divisor d of N qualifies for the H_p sieve.
 
@@ -374,7 +370,7 @@ def suitable_divisor_mask(
     smaller qualifying divisor, so its multiples are covered and it is
     skipped unclassified.
     """
-    h_table = class_numbers(X, workers=workers, budget=budget)
+    h_table = class_numbers(X, workers=workers)
     marked = np.zeros(X + 1, dtype=bool)
     for d in range(3, X + 1, 4):
         # for d = 3 mod 4: h > 0 iff -d is fundamental iff d is squarefree
@@ -385,12 +381,7 @@ def suitable_divisor_mask(
     return marked
 
 
-def has_suitable_divisor(
-    N: int,
-    p: int,
-    cache: ClassGroupCache | None = None,
-    h_table: np.ndarray | None = None,
-) -> bool:
+def has_suitable_divisor(N: int, p: int, h_table: np.ndarray | None = None) -> bool:
     """The direct H_p predicate: walk the divisors of N itself.  The
     independent counterpart of suitable_divisor_mask (divisor walk vs
     multiple marking), kept separate so the two constructions can be
@@ -401,34 +392,28 @@ def has_suitable_divisor(
         if d % 4 != 3:
             continue
         h = int(h_table[d]) if h_table is not None and d < len(h_table) else None
-        if is_suitable_fundamental_disc(d, p, h=h, cache=cache):
+        if is_suitable_fundamental_disc(d, p, h=h):
             return True
     return False
 
 
 def suitable_divisor_density(
-    p: int,
-    X: int,
-    workers: int = 1,
-    budget: int | None = None,
-    cache: ClassGroupCache | None = None,
+    p: int, X: int, workers: int = 1, cache: ClassGroupCache | None = None
 ) -> DensityEstimate:
     """Density among all N <= X of integers with a qualifying divisor."""
     if X < 1:
         raise ValueError("bound must be >= 1")
-    marked = suitable_divisor_mask(p, X, workers=workers, budget=budget, cache=cache)
+    marked = suitable_divisor_mask(p, X, workers=workers, cache=cache)
     return DensityEstimate(X, int(marked.sum()), X)
 
 
 # ------------------------------------------------------------ p-group share
 
 
-def pgroup_density(
-    p: int, X: int, workers: int = 1, budget: int | None = None
-) -> DensityEstimate:
+def pgroup_density(p: int, X: int) -> DensityEstimate:
     """Fraction of fundamental |D| <= X whose class number is a power
     of p (h = 1 counts: the trivial group is a p-group)."""
-    counts = class_numbers(X, workers=workers, budget=budget)
+    counts = class_numbers(X)
     fundamental_count = int(np.count_nonzero(counts))
     if fundamental_count == 0:
         raise ValueError(f"no fundamental discriminants up to {X}")

@@ -43,6 +43,7 @@ from .forms import (
 )
 from .ntheory import (
     divisors,
+    factorize,
     kronecker,
     multiplicative_order,
     prime_to_p_part,
@@ -227,13 +228,6 @@ class NotFoundUpToBound:
     """Witness search exhausted its prime bound.  Says nothing about
     existence beyond the bound."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "NotFoundUpToBound"
 
@@ -318,23 +312,10 @@ def euler_expansion(chi: ClassCharacter, nmax: int) -> list[Cyclotomic]:
             q *= ell
     for n in range(2, nmax + 1):
         if coeffs[n] is None:
-            ell = _least_prime_factor(n)
-            q = ell
-            while n % (q * ell) == 0:
-                q *= ell
+            ell, e = min(factorize(n).items())
+            q = ell**e
             coeffs[n] = coeffs[q] * coeffs[n // q]
     return coeffs  # type: ignore[return-value]
-
-
-def _least_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return f
-        f += 2
-    return n
 
 
 # ------------------------------------------------------------- reduction mod p

@@ -238,13 +238,6 @@ def class_number(D) -> int:
 class Inert:
     """Sentinel: the prime is inert, its eigenform coefficient is 0."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "Inert"
 
@@ -344,7 +337,7 @@ def class_group(D) -> ClassGroupRecord:
 
     D = _disc_value(D)
     forms = enumerate_reduced(D)
-    structure, generators = structure_from_forms(forms, with_generators=True)
+    structure, generators = structure_from_forms(forms)
     return ClassGroupRecord(
         disc=D,
         fundamental=is_fundamental(D),
@@ -354,20 +347,18 @@ def class_group(D) -> ClassGroupRecord:
     )
 
 
-CACHE_ENV = "QUADCLASS_CACHE"
-
-
 class ClassGroupCache:
     """Read-through cache of (disc, h, invariant factors) rows.
 
     The backing file is CSV with header ``disc,h,invariant_factors``; the
     factor chain is semicolon-joined ascending, e.g. ``-4027,9,3;3``.
+    With path None the cache lives in memory only.
     """
 
     HEADER = ["disc", "h", "invariant_factors"]
 
     def __init__(self, path: str | None = None):
-        self.path = path if path is not None else os.environ.get(CACHE_ENV)
+        self.path = path
         self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
         self.dirty = False
         if self.path and os.path.exists(self.path):

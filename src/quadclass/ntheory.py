@@ -207,12 +207,6 @@ def multiplicative_order(a: int, n: int) -> int:
     return k
 
 
-def odd_part(n: int) -> int:
-    while n % 2 == 0:
-        n //= 2
-    return n
-
-
 def prime_to_p_part(n: int, p: int) -> int:
     """Largest divisor of n coprime to p (p >= 2).
 

@@ -13,7 +13,9 @@ a, b, c puts g^2 into the discriminant in a way the fundamentality
 conditions rule out), so restricting output to fundamental D makes
 the raw count equal h(D).  class_numbers applies that restriction
 once and keeps the result as the single class-number table every scan
-reads; the raw counter is exposed for tests.
+reads; the raw counter is exposed for tests.  class_numbers also owns
+the class-data budget (its budget argument overrides the cap), and
+batch_class_numbers only lists the table's nonzero entries.
 
 sweep_counts partitions its work across processes by striding the
 outer loop variable; partial counters merge by addition, so worker
@@ -23,9 +25,7 @@ count never changes results.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
 
 import numpy as np
 
@@ -44,11 +44,8 @@ class ResourceLimitError(Exception):
 DEFAULT_CLASS_DATA_BUDGET = 4_000_000
 
 
-def check_budget(
-    name: str, value: int, budget: int | None, default: int, kind: str
-) -> None:
-    """Refuse value above budget (default when budget is None)."""
-    cap = default if budget is None else budget
+def check_budget(name: str, value: int, cap: int, kind: str) -> None:
+    """Refuse value above cap."""
     if value > cap:
         raise ResourceLimitError(f"{name} = {value} exceeds the {kind} budget {cap}")
 
@@ -130,6 +127,7 @@ def class_numbers(
     """Read-only view h[0..limit] with h[n] = h(-n) for fundamental -n
     and 0 otherwise, so h[n] > 0 exactly when -n is fundamental.
 
+    limit may not exceed budget, DEFAULT_CLASS_DATA_BUDGET when None.
     All callers share one table.  A sweep's count at n does not depend
     on the sweep bound, so a smaller bound is served as a prefix of the
     largest table built so far, and only a larger bound sweeps again.
@@ -137,7 +135,8 @@ def class_numbers(
     global _store
     if limit < 0:
         raise ValueError("limit must be >= 0")
-    check_budget("X", limit, budget, DEFAULT_CLASS_DATA_BUDGET, "class-data")
+    cap = DEFAULT_CLASS_DATA_BUDGET if budget is None else budget
+    check_budget("X", limit, cap, "class-data")
     if _store.size <= limit:
         counts = sweep_counts(limit, workers=workers)
         counts[~fundamental_mask(limit)] = 0
@@ -146,26 +145,11 @@ def class_numbers(
     return _store[: limit + 1]
 
 
-@dataclass(frozen=True)
-class ClassNumberTable:
-    """h(D) for every fundamental D with |D| <= limit, stored as
-    parallel arrays ascending in |D|."""
-
-    limit: int
-    abs_discs: np.ndarray
-    class_numbers: np.ndarray
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        for n, h in zip(self.abs_discs, self.class_numbers):
-            yield -int(n), int(h)
-
-
-def batch_class_numbers(
-    limit: int, workers: int = 1, budget: int | None = None
-) -> ClassNumberTable:
-    """Tabulate h(D) for all fundamental D with |D| <= limit."""
+def batch_class_numbers(limit: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(abs_discs, class_numbers): h(D) for every fundamental D with
+    |D| <= limit, as parallel arrays ascending in |D|."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
-    h = class_numbers(limit, workers=workers, budget=budget)
+    h = class_numbers(limit, workers=workers)
     ns = np.nonzero(h)[0]
-    return ClassNumberTable(limit, ns, h[ns])
+    return ns, h[ns]

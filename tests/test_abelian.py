@@ -188,7 +188,7 @@ def test_structure_from_forms_order_statistics():
         if not is_fundamental(-d):
             continue
         forms = enumerate_reduced(-d)
-        G = structure_from_forms(forms)
+        G, _ = structure_from_forms(forms)
         assert G.order == len(forms)
         model = small_group(G.invariant_factors)
         got = Counter(element_order(f, len(forms)) for f in forms)
@@ -199,7 +199,7 @@ def test_structure_from_forms_order_statistics():
 def test_structure_generators_span():
     for D in (-47, -231, -420, -4027, -3299):
         forms = enumerate_reduced(D)
-        G, gens = structure_from_forms(forms, with_generators=True)
+        G, gens = structure_from_forms(forms)
         assert [k for _, k in gens] == list(G.invariant_factors)
         span = {principal_form(D)}
         for g, k in gens:

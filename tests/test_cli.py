@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 
 import pytest
 
+from quadclass import forms
 from quadclass.cli import build_parser, main
 
 
@@ -155,6 +157,45 @@ def test_cache_roundtrip_via_flag(tmp_path, capsys):
     # second run consumes the cache and leaves it unchanged
     _run(capsys, "--cache-path", str(path), "suitable", "--disc", "-47", "--p", "2")
     assert path.read_text() == first
+
+
+def test_cache_path_from_environment(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "env.csv"
+    monkeypatch.setenv("QUADCLASS_CACHE", str(path))
+    first = _run(capsys, "suitable", "--disc", "-23", "--p", "2")
+    rows = path.read_text().splitlines()
+    assert rows == ["disc,h,invariant_factors", "-23,3,3"]
+
+    def refuse(D):
+        raise AssertionError(f"class group of {D} recomputed")
+
+    # the second run answers from the file alone
+    monkeypatch.setattr(forms, "class_group", refuse)
+    assert _run(capsys, "suitable", "--disc", "-23", "--p", "2") == first
+    assert path.read_text().splitlines() == rows
+
+
+# sha256 of `batch --max-abs-disc 5000` output: the bytes must not
+# depend on how the class-number table hands its rows to the CLI
+BATCH_5000_SHA256 = {
+    "csv": "d9f5488481b8453a07b1c68313aeaf8cdd2a55fd5aa9e396706fa6d4b3898061",
+    "json": "df06102d37768a0d05945ebaac8120cde3bb07b82d7443112f805a226328b158",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(BATCH_5000_SHA256))
+def test_batch_output_pinned(capsys, fmt):
+    out = _run(capsys, "--format", fmt, "batch", "--max-abs-disc", "5000")
+    assert hashlib.sha256(out.encode()).hexdigest() == BATCH_5000_SHA256[fmt]
+
+
+def test_census_budget_override(capsys):
+    # census is the one subcommand whose class-data cap can be set
+    assert main(["census", "--budget", "100", "--max-abs-disc", "101", "--orders", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["quadclass: error: X = 101 exceeds the class-data budget 100"]
+    out = _run(capsys, "census", "--budget", "101", "--max-abs-disc", "101", "--orders", "1")
+    assert out.splitlines()[0] == "order,count"
 
 
 def test_budget_error_exit_code(capsys):

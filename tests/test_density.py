@@ -110,8 +110,9 @@ def test_estimate_squarefree_in_three_mod_four():
 
 
 def test_estimate_budget_and_empty_ambient():
-    with pytest.raises(ResourceLimitError):
-        estimate(all_integers(), all_integers(), 10**5, budget=10**4)
+    # the sieve cap is fixed at 1e8; the check runs before any mask is built
+    with pytest.raises(ResourceLimitError, match="sieve budget 100000000$"):
+        estimate(all_integers(), all_integers(), 10**8 + 1)
     with pytest.raises(ValueError):
         estimate(all_integers(), from_predicate("none", lambda n: False), 100)
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadclass.forms import (
-    CACHE_ENV,
     ClassGroupCache,
     Inert,
     QuadForm,
@@ -283,14 +282,16 @@ def test_cache_rejects_corrupt_row(tmp_path, row):
         ClassGroupCache(str(path))
 
 
-def test_cache_env_default(tmp_path, monkeypatch):
-    path = tmp_path / "env.csv"
-    monkeypatch.setenv(CACHE_ENV, str(path))
+def test_cache_without_path_stays_in_memory(tmp_path, monkeypatch):
+    # the library reads no environment: only the CLI turns
+    # $QUADCLASS_CACHE into a path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QUADCLASS_CACHE", str(tmp_path / "env.csv"))
     cache = ClassGroupCache()
+    assert cache.path is None
     assert cache.get(-23) == (3, (3,))
     cache.save()
-    assert path.exists()
-    assert ClassGroupCache().get(-23) == (3, (3,))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_non_fundamental_rejected_or_flagged():
@@ -351,8 +352,7 @@ ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
-def test_non_integer_discriminant_refused(name, monkeypatch):
-    monkeypatch.delenv(CACHE_ENV, raising=False)
+def test_non_integer_discriminant_refused(name):
     call = ENTRY_POINTS[name]
     with pytest.raises(TypeError, match="must be an integer"):
         call(-23.7)

@@ -11,7 +11,6 @@ from quadclass.ntheory import (
     is_squarefree,
     kronecker,
     multiplicative_order,
-    odd_part,
     prime_mask,
     prime_to_p_part,
     primes_up_to,
@@ -176,14 +175,6 @@ def test_multiplicative_order_minimal():
             k = multiplicative_order(a, n)
             assert pow(a, k, n) == 1
             assert all(pow(a, j, n) != 1 for j in range(1, k))
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_odd_part(n):
-    m = odd_part(n)
-    assert m % 2 == 1
-    assert n % m == 0
-    assert (n // m) & (n // m - 1) == 0  # quotient is a power of two
 
 
 @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 5, 7]))

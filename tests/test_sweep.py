@@ -69,21 +69,19 @@ def test_worker_partition_invariance():
 
 def test_batch_table_fundamental_only(monkeypatch):
     monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int64))
-    table = batch_class_numbers(500)
-    assert table.limit == 500
-    discs = table.abs_discs
+    discs, hs = batch_class_numbers(500)
     assert np.all(discs[:-1] < discs[1:])
     counts = sweep_counts(500)
-    for d, h in zip(discs, table.class_numbers):
+    for d, h in zip(discs, hs):
         assert is_fundamental(-int(d))
         assert int(h) == int(counts[d])
     expected = [d for d in range(1, 501) if is_fundamental(-d)]
     assert list(discs) == expected
     # served from a larger table, the same rows come back
     class_numbers(20000)
-    again = batch_class_numbers(500)
-    assert np.array_equal(again.abs_discs, discs)
-    assert np.array_equal(again.class_numbers, table.class_numbers)
+    again_discs, again_hs = batch_class_numbers(500)
+    assert np.array_equal(again_discs, discs)
+    assert np.array_equal(again_hs, hs)
 
 
 def test_budget_guard():
@@ -91,7 +89,7 @@ def test_budget_guard():
         batch_class_numbers(10**7)
     with pytest.raises(ResourceLimitError):
         class_numbers(10**7)
-    # explicit budget overrides the default
-    batch_class_numbers(5000, budget=5000)
+    # the table owner takes an explicit budget in place of the default
+    class_numbers(5000, budget=5000)
     with pytest.raises(ResourceLimitError):
-        batch_class_numbers(5001, budget=5000)
+        class_numbers(5001, budget=5000)

@@ -52,9 +52,8 @@ def _ratio_cell(r: Fraction) -> str:
     return f"{float(r):.6f}"
 
 
-def _cache(args) -> ClassGroupCache | None:
-    path = args.cache_path or os.environ.get(CACHE_ENV)
-    return ClassGroupCache(path) if path else None
+def _cache(args) -> ClassGroupCache:
+    return ClassGroupCache(args.cache_path or os.environ.get(CACHE_ENV))
 
 
 # ------------------------------------------------------------- subcommands
@@ -94,12 +93,8 @@ def _cmd_suitable(args) -> int:
     cache = _cache(args)
     rows = []
     for disc in args.disc:
-        if cache is not None:
-            h, factors = cache.get(disc)
-            structure = AbelianGroup(factors)
-        else:
-            rec = class_group(disc)
-            h, structure = rec.class_number, rec.structure
+        h, factors = cache.get(disc)
+        structure = AbelianGroup(factors)
         for p in args.p:
             report = is_p_suitable(structure, p)
             rows.append(
@@ -112,8 +107,7 @@ def _cmd_suitable(args) -> int:
                 ]
             )
     rows.sort(key=lambda r: (-r[0], r[2]))
-    if cache:
-        cache.save()
+    cache.save()
     return _emit(["disc", "h", "p", "suitable", "witness_h"], rows, args)
 
 
@@ -160,8 +154,7 @@ def _cmd_density(args) -> int:
         rows.append(
             [X, est.count_member, est.count_ambient, _ratio_cell(est.ratio)]
         )
-    if cache:
-        cache.save()
+    cache.save()
     return _emit(["x", "count_member", "count_ambient", "ratio"], rows, args)
 
 

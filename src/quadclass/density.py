@@ -8,16 +8,18 @@ mask builder; the two are spot-checked against each other.
 
 The scans at the bottom (exponent-3, power-of-two census, suitable
 divisors, p-group fractions) sit on top of the shared class-number
-table (sweep.class_numbers) and a read-through class-group cache.
-They keep fixed caps: the sieves refuse X past DEFAULT_SIEVE_BUDGET and
-the table refuses X past its class-data cap.  Only the census passes a
-budget through to the table, for runs at the reference bound.
-Questions about the exponent of a class group go through one of two
-shared pieces.  The exponent-3 scan asks forms.exponent_divides, which
-powers prime forms and needs no structure.  The suitable-divisor scan
-screens on h with the suitability law of abelian._within_bound, which
-settles most discriminants instantly; only the leftover cases pay for
-certified structure.
+table (sweep.class_numbers).  They keep fixed caps: the sieves refuse X
+past DEFAULT_SIEVE_BUDGET and the table refuses X past its class-data
+cap.  Only the census passes a budget through to the table, for runs
+at the reference bound.
+
+Questions about the exponent of a class group take one of two routes,
+and no verdict is memoized.  forms.exponent_divides powers prime forms
+and needs no structure; the exponent-3 scan and the divisor walk of
+has_suitable_divisor ask it.  The suitable-divisor sieve screens on h
+with the suitability law of abelian._within_bound, which settles most
+discriminants instantly; the rest take certified structure through a
+ClassGroupCache.  So the sieve and its oracle share no verdict.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, _within_bound, is_p_suitable
 from .forms import ClassGroupCache, class_group, exponent_divides
-from .ntheory import factorize, is_squarefree, smallest_prime_factor
+from .ntheory import divisors, factorize, is_squarefree, prime_to_p_part, smallest_prime_factor
 from .sweep import check_budget, class_numbers
 
 DEFAULT_SIEVE_BUDGET = 100_000_000
@@ -333,31 +335,12 @@ def _suitability_screen(h: int, p: int) -> bool | None:
     return None
 
 
-_suitable_disc_cache: dict[tuple[int, int], bool] = {}
-
-
-def is_suitable_fundamental_disc(
-    d: int, p: int, h: int | None = None, cache: ClassGroupCache | None = None
-) -> bool:
+def is_suitable_fundamental_disc(d: int, p: int) -> bool:
     """Whether d qualifies for the H_p sieve: d = 3 mod 4, squarefree,
-    and CL(-d) p-suitable.  h, when given, must be the class number of
-    -d and enables the order-only screen."""
+    and CL(-d) p-suitable, by certified structure."""
     if d % 4 != 3 or not is_squarefree(d):
         return False
-    key = (d, p)
-    hit = _suitable_disc_cache.get(key)
-    if hit is not None:
-        return hit
-    verdict = _suitability_screen(h, p) if h is not None else None
-    if verdict is None:
-        if cache is not None:
-            _, factors = cache.get(-d)
-            structure = AbelianGroup(tuple(factors))
-        else:
-            structure = class_group(-d).structure
-        verdict = is_p_suitable(structure, p).suitable
-    _suitable_disc_cache[key] = verdict
-    return verdict
+    return is_p_suitable(class_group(-d).structure, p).suitable
 
 
 def suitable_divisor_mask(
@@ -368,31 +351,53 @@ def suitable_divisor_mask(
     Built the sieve way: walk candidate d ascending and mark all
     multiples of each qualifying d.  A d that is already marked has a
     smaller qualifying divisor, so its multiples are covered and it is
-    skipped unclassified.
+    skipped unclassified.  The d the order screen leaves open take
+    certified structure through cache (a fresh one when None).
     """
     h_table = class_numbers(X, workers=workers)
+    if cache is None:
+        cache = ClassGroupCache()
     marked = np.zeros(X + 1, dtype=bool)
     for d in range(3, X + 1, 4):
         # for d = 3 mod 4: h > 0 iff -d is fundamental iff d is squarefree
         if marked[d] or not h_table[d]:
             continue
-        if is_suitable_fundamental_disc(d, p, h=int(h_table[d]), cache=cache):
+        verdict = _suitability_screen(int(h_table[d]), p)
+        if verdict is None:
+            verdict = is_p_suitable(AbelianGroup(cache.get(-d)[1]), p).suitable
+        if verdict:
             marked[d::d] = True
     return marked
+
+
+def _suitable_by_prime_forms(d: int, h: int, p: int) -> bool:
+    """p-suitability of Cl(-d), h = h(-d), by the order screen, else by
+    the prime forms: with h' the prime-to-p part of h, the group is
+    unsuitable iff its exponent divides p^v_p(h) * gcd(h', p^2 - 1)."""
+    verdict = _suitability_screen(h, p)
+    if verdict is not None:
+        return verdict
+    h_prime = prime_to_p_part(h, p)
+    return not exponent_divides(-d, h // h_prime * math.gcd(h_prime, p * p - 1))
 
 
 def has_suitable_divisor(N: int, p: int, h_table: np.ndarray | None = None) -> bool:
     """The direct H_p predicate: walk the divisors of N itself.  The
     independent counterpart of suitable_divisor_mask (divisor walk vs
     multiple marking), kept separate so the two constructions can be
-    compared.  h_table, when given, is a sweep prefix indexed by |D|."""
-    from .ntheory import divisors
-
+    compared.  h_table, when given, is a sweep prefix indexed by |D|;
+    the d it covers are settled by the prime forms, the rest by
+    certified structure."""
     for d in divisors(N):
-        if d % 4 != 3:
+        if d % 4 != 3 or not is_squarefree(d):
             continue
-        h = int(h_table[d]) if h_table is not None and d < len(h_table) else None
-        if is_suitable_fundamental_disc(d, p, h=h):
+        if h_table is not None and d < len(h_table):
+            # If the sieve ever settles its open d by exponent_divides, this
+            # should take certified structure, so the routes stay distinct.
+            verdict = _suitable_by_prime_forms(d, int(h_table[d]), p)
+        else:
+            verdict = is_suitable_fundamental_disc(d, p)
+        if verdict:
             return True
     return False
 

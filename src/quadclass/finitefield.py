@@ -165,6 +165,7 @@ class FieldContext:
         # more, so entries up to this bound cannot overflow int64 in it.
         self._fold_limit = (2**63 - 1) // ((p - 1) * m + 1)
         self._frob: np.ndarray | None = None
+        self._roots: dict[int, "FieldElement"] = {}  # element_of_order by h
 
     @property
     def modulus(self) -> tuple[int, ...]:
@@ -421,18 +422,14 @@ def make_field(p: int, m: int) -> FieldContext:
     return ctx
 
 
-_root_cache: dict[tuple[int, int, int], "FieldElement"] = {}
-
-
 def element_of_order(ctx: FieldContext, h: int) -> FieldElement:
     """An element of exact multiplicative order h: g^((p^m - 1)/h) for
     the first field element g, in base-p counter order, for which the
     exact-order check passes."""
     if h < 1 or (ctx.order - 1) % h:
         raise ValueError(f"no element of order {h}: {h} does not divide p^m - 1")
-    key = (ctx.p, ctx.m, h)
-    cached = _root_cache.get(key)
-    if cached is not None and cached.ctx is ctx:
+    cached = ctx._roots.get(h)
+    if cached is not None:
         return cached
     p = ctx.p
     # z = g^((p^m - 1)/h) by base-p Horner: z -> z^p * g^d per digit d,
@@ -456,7 +453,7 @@ def element_of_order(ctx: FieldContext, h: int) -> FieldElement:
         one = (1,) + (0,) * (ctx.m - 1)
         if any((z ** (h // r)).coeffs == one for r in hfactors):
             continue
-        _root_cache[key] = z
+        ctx._roots[h] = z
         return z
     raise AssertionError("multiplicative group exhausted")  # unreachable
 

@@ -19,7 +19,10 @@ batch_class_numbers only lists the table's nonzero entries.
 
 sweep_counts partitions its work across processes by striding the
 outer loop variable; partial counters merge by addition, so worker
-count never changes results.
+count never changes results.  It does not partition memory: with k
+workers each one holds a full array of 8(X+1) bytes, and the parent
+adds each into its running total as it arrives, while the class-data
+budget counts a single array.
 """
 
 from __future__ import annotations
@@ -77,13 +80,14 @@ def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
     """
     if workers <= 1:
         return _sweep_slice(limit, 1, 1)
-    starts = range(1, workers + 1)
-    steps = [workers] * workers
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_sweep_slice, [limit] * workers, starts, steps))
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
+        # map yields lazily and drops each part once it is consumed
+        parts = pool.map(
+            _sweep_slice, [limit] * workers, range(1, workers + 1), [workers] * workers
+        )
+        total = next(parts)
+        for part in parts:
+            total += part
     return total
 
 

@@ -3,9 +3,10 @@ import hashlib
 import io
 import json
 
+import numpy as np
 import pytest
 
-from quadclass import forms
+from quadclass import forms, sweep
 from quadclass.cli import build_parser, main
 
 
@@ -92,6 +93,19 @@ def test_density_rows(capsys):
         )
 
 
+def test_density_bounds_match_single_runs(capsys, tmp_path):
+    """One command's cache serves all of its bounds: the rows are those of
+    the single-bound runs, and the cache file that of the larger bound."""
+    many, single = tmp_path / "many.csv", tmp_path / "single.csv"
+    out = _run(capsys, "--cache-path", str(many), "density", "--p", "2", "--bounds", "1000,20000")
+    rows = [_run(capsys, "density", "--p", "2", "--bounds", "1000").splitlines()[1]]
+    rows += _run(
+        capsys, "--cache-path", str(single), "density", "--p", "2", "--bounds", "20000"
+    ).splitlines()[1:]
+    assert out.splitlines() == ["x,count_member,count_ambient,ratio"] + rows
+    assert many.read_bytes() == single.read_bytes()
+
+
 def test_clweights_rows_increasing(capsys):
     out = _run(capsys, "clweights", "--skip-primes", "2,3", "--bounds", "100,1000")
     rows = _rows(out)
@@ -140,12 +154,16 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
-def test_worker_count_does_not_change_output(tmp_path):
-    one = tmp_path / "w1.csv"
-    two = tmp_path / "w2.csv"
-    assert main(["--workers", "1", "--output", str(one), "census", "--max-abs-disc", "3000", "--orders", "2,4"]) == 0
-    assert main(["--workers", "2", "--output", str(two), "census", "--max-abs-disc", "3000", "--orders", "2,4"]) == 0
-    assert one.read_bytes() == two.read_bytes()
+def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    out = {}
+    for workers in ("1", "2"):
+        # an empty table, so that each run sweeps with its own worker count
+        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int64))
+        out[workers] = tmp_path / f"w{workers}.csv"
+        argv = ["--workers", workers, "--output", str(out[workers]), "census"]
+        assert main(argv + ["--max-abs-disc", "3000", "--orders", "2,4"]) == 0
+        assert sweep._store.size == 3001
+    assert out["1"].read_bytes() == out["2"].read_bytes()
 
 
 def test_cache_roundtrip_via_flag(tmp_path, capsys):

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadclass import density, forms
 from quadclass.abelian import is_p_suitable
 from quadclass.cohen_lenstra import enumerate_groups
 from quadclass.density import (
     CENSUS_REFERENCE_BOUND,
     _suitability_screen,
+    _suitable_by_prime_forms,
     all_integers,
     class_order_census,
     dilate,
@@ -262,6 +264,49 @@ def test_dual_route_equivalence_sample():
     h_table = sweep_counts(X)
     for N in range(1, X + 1):
         assert bool(mask[N]) == has_suitable_divisor(N, p, h_table=h_table), N
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other route was taken")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_sieve_and_walk_take_separate_routes(p, monkeypatch):
+    """The sieve settles its open d without the prime forms, the walk
+    without certified structure, and the two agree on every N."""
+    X = 2000
+    h_table = sweep_counts(X)
+    assert any(
+        h_table[d] and _suitability_screen(int(h_table[d]), p) is None
+        for d in range(3, X + 1, 4)
+    )
+    with monkeypatch.context() as m:
+        m.setattr(density, "exponent_divides", _refuse)
+        m.setattr(forms, "exponent_divides", _refuse)
+        mask = suitable_divisor_mask(p, X)
+    monkeypatch.setattr(density, "class_group", _refuse)
+    monkeypatch.setattr(forms, "class_group", _refuse)
+    for N in range(1, X + 1):
+        assert bool(mask[N]) == has_suitable_divisor(N, p, h_table=h_table), N
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_form_verdicts_against_structure(p):
+    """Every fundamental d = 3 mod 4 below 2e4 that the order screen
+    leaves open: the walk's prime-form verdict equals the one from
+    certified structure, and both verdicts occur."""
+    h_table = sweep_counts(20000)
+    seen = set()
+    for d in range(3, 20000, 4):
+        if not is_squarefree(d):
+            continue
+        h = int(h_table[d])
+        if _suitability_screen(h, p) is not None:
+            continue
+        want = is_p_suitable(class_group(-d).structure, p).suitable
+        assert _suitable_by_prime_forms(d, h, p) == want, (d, p)
+        seen.add(want)
+    assert seen == {True, False}
 
 
 def test_h2_density_monotone_small():

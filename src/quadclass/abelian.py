@@ -6,9 +6,8 @@ qualifies for a prime p exactly when the prime-to-p part of its exponent
 does not divide p^2 - 1.  That law is written once, in ``_within_bound``,
 and the order screen of ``density`` uses it too.
 
-Structure from forms works on plain ``(a, b, c)`` tuples through the
-private kernel of ``forms``; ``QuadForm`` objects appear only at the edges,
-where the input list is read and the generators are returned.  It costs
+Structure from forms composes the ``QuadForm`` tuples through the private
+kernel of ``forms``, which validates nothing inside the loops.  It costs
 O(h) checked products plus one p-th power per element of each Sylow
 p-subgroup (after Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt,
 Math. Comp. 74, 2005):
@@ -32,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .forms import QuadForm, _compose, _pow, _reduce, form_pow, principal_form
+from .forms import QuadForm, _compose, _pow, _reduce, principal_form
 from .ntheory import divisors, factorize, prime_to_p_part
 
 
@@ -56,10 +55,6 @@ class AbelianGroup:
     @property
     def exponent(self) -> int:
         return self.invariant_factors[-1] if self.invariant_factors else 1
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors
 
     def p_partition(self, p: int) -> list[int]:
         """Exponents of p in the invariant factors, ascending, zeros dropped."""
@@ -143,19 +138,10 @@ def aut_order(G: AbelianGroup) -> int:
     return total
 
 
-def element_order(f: QuadForm, group_order: int) -> int:
-    """Order of a form in a class group of known size."""
-    ident = principal_form(f.discriminant)
-    order = group_order
-    for p in factorize(group_order):
-        while order % p == 0 and form_pow(f, order // p) == ident:
-            order //= p
-    return order
-
-
 class _CheckedGroup:
     """Composition restricted to a fixed element set; leaving it means the
-    input was not a full class group.  Elements are (a, b, c) tuples."""
+    input was not a full class group.  Elements are (a, b, c) tuples, and
+    the checks here validate the input of ``structure_from_forms``."""
 
     def __init__(self, forms: list[QuadForm]):
         if not forms:
@@ -164,12 +150,11 @@ class _CheckedGroup:
         if any(f.discriminant != disc for f in forms):
             raise ValueError("forms of mixed discriminant")
         self.disc = disc
-        self.elements = frozenset((f.a, f.b, f.c) for f in forms)
+        self.elements = frozenset(forms)
         self.order = len(forms)
         if len(self.elements) != self.order:
             raise ValueError("duplicate forms")
-        e = principal_form(disc)
-        self.identity = (e.a, e.b, e.c)
+        self.identity = principal_form(disc)
         if self.identity not in self.elements:
             raise ValueError("principal form missing from input")
 
@@ -231,6 +216,23 @@ def _sylow_set(group: _CheckedGroup, gens: list[tuple], p: int, v: int) -> list[
     return sorted(sylow)
 
 
+def _extend_span(span: dict, g, order: int, mul) -> dict:
+    """The span table extended by <g>, g of the given order: each s*g^k
+    (k < order) maps to the coordinates of s followed by k.  Meeting an
+    element twice means g was not independent of the span, so the input
+    was not a group."""
+    out = {}
+    for s, vec in span.items():
+        key = s  # s * g^k
+        for k in range(order):
+            if k:
+                key = mul(key, g)
+            if key in out:
+                raise RuntimeError("span collision; input is not a group")
+            out[key] = vec + (k,)
+    return out
+
+
 def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tuple, tuple]):
     """Basis of an abelian p-group given as its sorted element list and
     its p-th power map.
@@ -269,16 +271,7 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tu
                 adjust = group.mul(adjust, group.pow(b, di))
         if adjust != group.identity:
             g = group.mul(g, group.inverse(adjust))
-        new_span = {}
-        for s, vec in span.items():
-            key = s  # s * g^k
-            for k in range(p**t):
-                if k:
-                    key = group.mul(key, g)
-                if key in new_span:
-                    raise RuntimeError("span collision; input is not a group")
-                new_span[key] = vec + (k,)
-        span = new_span
+        span = _extend_span(span, g, p**t, group.mul)
         basis.append(g)
         orders.append(p**t)
     return basis, orders
@@ -356,7 +349,7 @@ def structure_from_forms(
                 i = idx[slot]
                 gen = group.mul(gen, basis[i])
                 order *= orders[i]
-        combined.append((QuadForm(*gen), order))
+        combined.append((QuadForm._make(gen), order))
     combined.reverse()  # ascending, aligned with invariant factors
     return AbelianGroup(tuple(order for _, order in combined)), combined
 

@@ -131,6 +131,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_traces(args) -> int:
+    if any(h < 1 for h in args.orders_list):
+        raise ValueError("orders must be >= 1")
     rows = []
     for h in args.orders_list:
         for p in args.p:

@@ -89,6 +89,16 @@ def weight(G: AbelianGroup) -> Fraction:
     return Fraction(1, aut_order(G))
 
 
+def _prime_set(S: Iterable[int]) -> frozenset[int]:
+    """S as a set of primes; anything else would skip every order (1) or
+    divide by zero (0), so it is refused."""
+    Sf = frozenset(S)
+    bad = sorted(q for q in Sf if not is_prime(q))
+    if bad:
+        raise ValueError(f"skipped primes must be prime: {bad[0]}")
+    return Sf
+
+
 def _coprime_orders(S: frozenset[int], x: int) -> list[int]:
     out = []
     for n in range(1, x + 1):
@@ -104,7 +114,7 @@ def weighted_sum_coprime(S: Iterable[int], x: int) -> Fraction:
         raise ValueError("x must be >= 1")
     check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
     total = Fraction(0)
-    for n in _coprime_orders(frozenset(S), x):
+    for n in _coprime_orders(_prime_set(S), x):
         for G in enumerate_groups(n):
             total += weight(G)
     return total
@@ -113,7 +123,7 @@ def weighted_sum_coprime(S: Iterable[int], x: int) -> Fraction:
 def prime_reciprocal_sum(S: Iterable[int], x: int) -> Fraction:
     """The divergent comparison series: sum of 1/(p-1) over primes
     p <= x outside S.  Each term is the weight of C_p."""
-    Sf = frozenset(S)
+    Sf = _prime_set(S)
     total = Fraction(0)
     for p in map(int, primes_up_to(x)):
         if p not in Sf:
@@ -129,7 +139,7 @@ def partial_average(
     check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
     num = Fraction(0)
     den = Fraction(0)
-    for n in _coprime_orders(frozenset(S), x):
+    for n in _coprime_orders(_prime_set(S), x):
         for G in enumerate_groups(n):
             w = weight(G)
             den += w

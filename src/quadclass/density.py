@@ -7,11 +7,11 @@ Integer sets pair a scalar membership predicate with a vectorized
 mask builder; the two are spot-checked against each other.
 
 The scans at the bottom (exponent-3, power-of-two census, suitable
-divisors, p-group fractions) sit on top of the shared class-number
-table (sweep.class_numbers).  They keep fixed caps: the sieves refuse X
-past DEFAULT_SIEVE_BUDGET and the table refuses X past its class-data
-cap.  Only the census passes a budget through to the table, for runs
-at the reference bound.
+divisors) sit on top of the shared class-number table
+(sweep.class_numbers).  They keep fixed caps: the sieves refuse X past
+DEFAULT_SIEVE_BUDGET and the table refuses X past its class-data cap.
+Only the census passes a budget through to the table, for runs at the
+reference bound.
 
 Questions about the exponent of a class group take one of two routes,
 and no verdict is memoized.  forms.exponent_divides powers prime forms
@@ -86,16 +86,6 @@ class IntegerSet:
             lambda n, a=self, b=other: a.contains(n) and not b.contains(n),
             lambda X, a=self, b=other: a.mask_up_to(X) & ~b.mask_up_to(X),
         )
-
-
-def from_predicate(name: str, pred: Callable[[int], bool]) -> IntegerSet:
-    def build(limit: int) -> np.ndarray:
-        mask = np.zeros(limit + 1, dtype=bool)
-        for n in range(1, limit + 1):
-            mask[n] = pred(n)
-        return mask
-
-    return IntegerSet(name, pred, build)
 
 
 def all_integers() -> IntegerSet:
@@ -232,17 +222,13 @@ class LandauTable:
     residues: frozenset[int]
     samples: tuple[tuple[int, int], ...]  # (x, M(x)) ascending in x
 
-    def value_at(self, x: int) -> int:
-        for xi, mi in self.samples:
-            if xi == x:
-                return mi
-        raise KeyError(f"{x} is not a sample point")
-
 
 def landau_count(X: int, modulus: int, residues: Iterable[int]) -> LandauTable:
     """M(x) = #{n <= x with all prime factors in the residue classes},
     at geometric sample points up to X."""
     check_budget("X", X, DEFAULT_SIEVE_BUDGET, "sieve")
+    if X < 1:
+        raise ValueError("bound must be >= 1")
     if modulus < 1:
         raise ValueError("modulus must be >= 1")
     rs = frozenset(r % modulus for r in residues)
@@ -309,11 +295,13 @@ def class_order_census(
 ) -> dict[int, int]:
     """For each target order h*, the number of fundamental discriminants
     with |D| < X (strict) and h(D) = h*.  budget, when given, replaces
-    the class-data cap of sweep.class_numbers."""
+    the class-data cap of sweep.class_numbers.  Every order must be >= 1:
+    the table holds 0 at the non-fundamental |D|."""
+    orders = sorted(set(target_orders))
+    if orders and orders[0] < 1:
+        raise ValueError("orders must be >= 1")
     counts = class_numbers(X, workers=workers, budget=budget)[:X]
-    return {
-        int(h): int(np.count_nonzero(counts == h)) for h in sorted(set(target_orders))
-    }
+    return {int(h): int(np.count_nonzero(counts == h)) for h in orders}
 
 
 # ------------------------------------------------- suitable-divisor density
@@ -410,20 +398,3 @@ def suitable_divisor_density(
         raise ValueError("bound must be >= 1")
     marked = suitable_divisor_mask(p, X, workers=workers, cache=cache)
     return DensityEstimate(X, int(marked.sum()), X)
-
-
-# ------------------------------------------------------------ p-group share
-
-
-def pgroup_density(p: int, X: int) -> DensityEstimate:
-    """Fraction of fundamental |D| <= X whose class number is a power
-    of p (h = 1 counts: the trivial group is a p-group)."""
-    counts = class_numbers(X)
-    fundamental_count = int(np.count_nonzero(counts))
-    if fundamental_count == 0:
-        raise ValueError(f"no fundamental discriminants up to {X}")
-    powers = [1]
-    while powers[-1] * p <= counts.max(initial=1):
-        powers.append(powers[-1] * p)
-    member = int(np.count_nonzero(np.isin(counts, powers)))
-    return DensityEstimate(X, member, fundamental_count)

@@ -29,15 +29,15 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .abelian import AbelianGroup, is_p_suitable
+from .abelian import AbelianGroup, _extend_span, is_p_suitable
 from .finitefield import FieldElement, element_of_order, make_field
 from .forms import (
     INERT,
     ClassGroupRecord,
     QuadForm,
     Ramified,
+    _compose,
     class_group,
-    compose,
     prime_form,
     principal_form,
 )
@@ -170,27 +170,19 @@ class ClassCharacter:
 def make_character(cg: ClassGroupRecord, h: int) -> ClassCharacter:
     """The canonical order-h character: project a class onto its
     coordinate along the last invariant factor d_k (the exponent) and
-    reduce mod h.  Requires h | d_k."""
+    reduce mod h.  Requires h | d_k.  The coordinates come from the span
+    walk of the certified structure, over the record's generators."""
     structure = cg.structure
     if h < 1 or structure.exponent % h:
         raise ValueError(f"order {h} does not divide the group exponent")
-    ident = principal_form(cg.disc)
-    table = {ident: 0}
-    gens = cg.generators
-    for i, (g, d) in enumerate(gens):
-        last = i == len(gens) - 1
-        snapshot = list(table.items())
-        power = g
-        e = 1
-        while e < d:
-            bump = e % h if last else 0
-            for f, lg in snapshot:
-                table[compose(f, power)] = (lg + bump) % h
-            power = compose(power, g)
-            e += 1
-    if len(table) != structure.order:
+    D = cg.disc
+    span = {principal_form(D): ()}
+    for g, d in cg.generators:
+        span = _extend_span(span, g, d, lambda x, y: _compose(x, y, D))
+    if len(span) != structure.order:
         raise AssertionError("character table does not cover the class group")
-    return ClassCharacter(cg.disc, h, table)
+    table = {f: vec[-1] % h if vec else 0 for f, vec in span.items()}
+    return ClassCharacter(D, h, table)
 
 
 # -------------------------------------------------------------- coefficients
@@ -271,7 +263,7 @@ def theta_coeff_oracle(chi: ClassCharacter, n: int) -> Cyclotomic:
     total = Cyclotomic.zero(chi.h)
     absd = -chi.disc
     for f, lg in chi.log_table.items():
-        a, b, cc = f.a, f.b, f.c
+        a, b, _ = f
         count = 0
         ymax = isqrt(4 * a * n // absd)
         for y in range(-ymax, ymax + 1):

@@ -5,10 +5,12 @@ forms appear here (a > 0, b^2 - 4ac < 0), and a class group is always
 realized as the set of primitive reduced forms of one discriminant under
 composition.
 
-The arithmetic itself (``_reduce``, ``_compose``, ``_pow``) works on plain
-``(a, b, c)`` int tuples with the discriminant passed in, so that inner
-loops build and validate no objects.  The public functions take and return
-validated ``QuadForm`` objects and convert once at that edge.
+A ``QuadForm`` is an ``(a, b, c)`` int tuple whose constructor checks
+that the form is positive definite.  The arithmetic (``_reduce``,
+``_compose``, ``_pow``) takes such tuples as they are, with the
+discriminant passed in, and validates nothing inside its loops; a public
+function wraps the kernel's result with ``QuadForm._make``, which does
+not validate again.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import csv
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from math import isqrt
 
@@ -64,22 +67,24 @@ def _disc_value(D) -> int:
     return v
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
-    a: int
-    b: int
-    c: int
+class QuadForm(namedtuple("QuadForm", "a b c")):
+    """A positive definite form (a, b, c); it hashes, compares and sorts
+    as that tuple."""
 
-    def __post_init__(self):
-        if self.a <= 0 or self.discriminant >= 0:
-            raise ValueError(f"form {(self.a, self.b, self.c)} is not positive definite")
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int):
+        if a <= 0 or b * b - 4 * a * c >= 0:
+            raise ValueError(f"form {(a, b, c)} is not positive definite")
+        return super().__new__(cls, a, b, c)
 
     @property
     def discriminant(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
     def inverse(self) -> "QuadForm":
-        return reduce_form(QuadForm(self.a, -self.b, self.c))
+        a, b, c = self
+        return QuadForm._make(_reduce(a, -b, c, self.discriminant))
 
     def __repr__(self):
         return f"({self.a},{self.b},{self.c})"
@@ -161,7 +166,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
     >>> reduce_form(QuadForm(6, 1, 2))
     (2,-1,6)
     """
-    return QuadForm(*_reduce(f.a, f.b, f.c, f.discriminant))
+    return QuadForm._make(_reduce(*f, f.discriminant))
 
 
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
@@ -173,7 +178,7 @@ def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     D = f.discriminant
     if g.discriminant != D:
         raise ValueError(f"discriminant mismatch: {D} vs {g.discriminant}")
-    return QuadForm(*_compose((f.a, f.b, f.c), (g.a, g.b, g.c), D))
+    return QuadForm._make(_compose(f, g, D))
 
 
 def form_pow(f: QuadForm, n: int) -> QuadForm:
@@ -187,8 +192,7 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     D = f.discriminant
     if n == 0:
         return principal_form(D)
-    base = _reduce(f.a, f.b, f.c, D)
-    return QuadForm(*_pow(base, n, lambda x, y: _compose(x, y, D)))
+    return QuadForm._make(_pow(_reduce(*f, D), n, lambda x, y: _compose(x, y, D)))
 
 
 def enumerate_reduced(D) -> list[QuadForm]:
@@ -228,7 +232,7 @@ def enumerate_reduced(D) -> list[QuadForm]:
     neg = (0 < b) & (b < a) & (c > a)
     a, b, c = np.r_[a, a[neg]], np.r_[b, -b[neg]], np.r_[c, c[neg]]
     order = np.lexsort((b, a))
-    return [QuadForm(*f) for f in zip(a[order].tolist(), b[order].tolist(), c[order].tolist())]
+    return list(map(QuadForm._make, zip(a[order].tolist(), b[order].tolist(), c[order].tolist())))
 
 
 def class_number(D) -> int:
@@ -260,14 +264,18 @@ def prime_form(D, ell: int):
     smaller b; either choice gives conjugate classes.
     """
     D = _disc_value(D)
+
+    def reduced(b: int) -> QuadForm:  # the form (ell, b, c) of discriminant D, reduced
+        return QuadForm._make(_reduce(ell, b, (b * b - D) // (4 * ell), D))
+
     if ell == 2:
         if D % 8 == 1:
-            return reduce_form(QuadForm(2, 1, (1 - D) // 8))
+            return reduced(1)
         if D % 2:
             return INERT
         for b in (0, 2):
             if (b * b - D) % 8 == 0:
-                return Ramified(reduce_form(QuadForm(2, b, (b * b - D) // 8)))
+                return Ramified(reduced(b))
         raise AssertionError(f"no ramified form above 2 for D={D}")
     sym = kronecker(D, ell)
     if sym == -1:
@@ -275,11 +283,10 @@ def prime_form(D, ell: int):
     if sym == 0:
         for b in range(0, 2 * ell + 1):
             if (b - D) % 2 == 0 and (b * b - D) % (4 * ell) == 0:
-                return Ramified(reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell))))
+                return Ramified(reduced(b))
         raise AssertionError(f"no ramified form above {ell} for D={D}")
     s = sqrt_mod_prime(D % ell, ell)
-    b = s if (s - D) % 2 == 0 else ell - s
-    return reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell)))
+    return reduced(s if (s - D) % 2 == 0 else ell - s)
 
 
 def exponent_divides(D, n: int) -> bool:
@@ -301,14 +308,13 @@ def exponent_divides(D, n: int) -> bool:
         raise ValueError(f"{D} is not a fundamental discriminant")
     if n < 1:
         raise ValueError("n must be >= 1")
-    e = principal_form(D)
-    one = (e.a, e.b, e.c)
+    one = principal_form(D)
     for ell in primes_up_to(isqrt(-D // 3)).tolist():
         pf = prime_form(D, ell)
         if pf is INERT:
             continue
         f = pf.form if isinstance(pf, Ramified) else pf
-        if _pow((f.a, f.b, f.c), n, lambda x, y: _compose(x, y, D)) != one:
+        if _pow(f, n, lambda x, y: _compose(x, y, D)) != one:
             return False
     return True
 

@@ -5,8 +5,9 @@ implementations have something independent to be judged against:
 automorphism counts by explicit endomorphism enumeration where the
 candidate space is small, and by Moebius counting over the explicitly
 built subgroup lattice where it is not; quotients by walking every
-subgroup; class numbers by scanning coefficient boxes.  Two retired fast
-paths stay here as oracles for the routes that replaced them: class-group
+subgroup; class numbers by scanning coefficient boxes; the order of a
+form by powering it to each cofactor of h.  Two retired fast paths stay
+here as oracles for the routes that replaced them: class-group
 structure from the projection of every form into each Sylow subgroup, and
 reduced forms enumerated one leading coefficient at a time.
 
@@ -24,7 +25,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from quadclass.abelian import _CheckedGroup
-from quadclass.forms import QuadForm
+from quadclass.forms import QuadForm, form_pow, principal_form
 from quadclass.ntheory import factorize
 
 
@@ -233,6 +234,20 @@ def partition_count(v: int) -> int:
             k += 1
         P[m] = total
     return P[v]
+
+
+# ---------------------------------------------------------- form orders
+
+
+def element_order(f: QuadForm, group_order: int) -> int:
+    """Order of a form in a class group of known size, by powering it
+    to each cofactor of the group order."""
+    ident = principal_form(f.discriminant)
+    order = group_order
+    for p in factorize(group_order):
+        while order % p == 0 and form_pow(f, order // p) == ident:
+            order //= p
+    return order
 
 
 # ------------------------------------------------------ retired fast paths

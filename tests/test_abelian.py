@@ -11,7 +11,6 @@ from quadclass.abelian import (
     _close,
     _sylow_set,
     aut_order,
-    element_order,
     has_cyclic_quotient,
     is_p_suitable,
     structure_from_forms,
@@ -31,6 +30,7 @@ from _oracles import (
     aut_order_by_enumeration,
     aut_order_by_moebius,
     cyclic_quotient_orders,
+    element_order,
     small_group,
     structure_by_projection,
     suitable_by_enumeration,
@@ -84,7 +84,6 @@ def test_order_exponent_against_model():
         model = small_group(chain)
         assert G.order == model.n
         assert G.exponent == (lcm(*model.order) if chain else 1)
-        assert G.is_trivial == (model.n == 1)
 
 
 def test_p_partition_reassembles():
@@ -177,7 +176,7 @@ def test_checked_pow_matches_iterated_compose():
         for f in forms:
             acc = principal_form(D)
             for n in range(2 * len(forms) + 1):
-                assert group.pow((f.a, f.b, f.c), n) == (acc.a, acc.b, acc.c), (D, f, n)
+                assert group.pow(f, n) == acc, (D, f, n)
                 assert form_pow(f, n) == acc, (D, f, n)
                 acc = compose(acc, f)
 

@@ -244,6 +244,11 @@ def test_budget_error_exit_code(capsys):
         ["traces", "--orders", "2", "--p", "94906297"],
         ["witness", "--disc", "-47", "--p", "2147483647", "--bound", "100"],
         ["density", "--p", "2", "--p", "3", "--bounds", "1000"],
+        ["census", "--max-abs-disc", "100", "--orders", "0,-1"],
+        ["traces", "--orders", "0", "--p", "3"],
+        ["landau", "--bound", "0", "--modulus", "4", "--residues", "1"],
+        ["clweights", "--skip-primes", "0", "--bounds", "10"],
+        ["clweights", "--skip-primes", "1", "--bounds", "10"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

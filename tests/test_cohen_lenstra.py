@@ -70,6 +70,14 @@ def test_weighted_sum_monotone_and_divergence_bound():
         prev = total
 
 
+@pytest.mark.parametrize("S", [[0], [1], [2, 4], [-3]])
+def test_skipped_primes_must_be_prime(S):
+    # 0 would divide by zero and 1 would skip every order
+    for fn in (weighted_sum_coprime, prime_reciprocal_sum):
+        with pytest.raises(ValueError, match="skipped primes must be prime"):
+            fn(S, 10)
+
+
 def test_prime_reciprocal_sum_direct():
     # primes <= 12 outside {2,3}: 5, 7, 11
     want = Fraction(1, 4) + Fraction(1, 6) + Fraction(1, 10)
@@ -78,7 +86,7 @@ def test_prime_reciprocal_sum_direct():
 
 def test_partial_average_trivial_indicator_trend():
     S = [int(p) for p in primes_up_to(100)]
-    values = [partial_average(lambda G: G.is_trivial, S, x) for x in (50, 200, 500, 2000)]
+    values = [partial_average(lambda G: G.order == 1, S, x) for x in (50, 200, 500, 2000)]
     assert values[0] == 1  # no nontrivial coprime order that small
     for a, b in zip(values, values[1:]):
         assert b <= a

@@ -10,6 +10,7 @@ from quadclass.abelian import is_p_suitable
 from quadclass.cohen_lenstra import enumerate_groups
 from quadclass.density import (
     CENSUS_REFERENCE_BOUND,
+    IntegerSet,
     _suitability_screen,
     _suitable_by_prime_forms,
     all_integers,
@@ -17,13 +18,11 @@ from quadclass.density import (
     dilate,
     estimate,
     exponent3_scan,
-    from_predicate,
     has_suitable_divisor,
     is_suitable_fundamental_disc,
     landau_count,
     landau_ratio_check,
     multiples_of,
-    pgroup_density,
     residue_class,
     squarefree_integers,
     suitable_divisor_density,
@@ -58,7 +57,7 @@ def test_builders_mask_predicate_agreement():
         sq & r34,
         sq | multiples_of(4),
         r34 - sq,
-        from_predicate("digits", lambda n: n % 10 == 3),
+        IntegerSet("digits", lambda n: n % 10 == 3, lambda X: np.arange(X + 1) % 10 == 3),
     ):
         _check_mask_against_predicate(A)
 
@@ -115,8 +114,9 @@ def test_estimate_budget_and_empty_ambient():
     # the sieve cap is fixed at 1e8; the check runs before any mask is built
     with pytest.raises(ResourceLimitError, match="sieve budget 100000000$"):
         estimate(all_integers(), all_integers(), 10**8 + 1)
+    empty = IntegerSet("none", lambda n: False, lambda X: np.zeros(X + 1, dtype=bool))
     with pytest.raises(ValueError):
-        estimate(all_integers(), from_predicate("none", lambda n: False), 100)
+        estimate(all_integers(), empty, 100)
 
 
 def test_dilation_count_identity():
@@ -142,7 +142,7 @@ def _landau_members_brute(x):
 def test_landau_count_brute_force_small():
     table = landau_count(100, 4, [1])
     want = _landau_members_brute(100)
-    assert table.value_at(100) == len(want) == 15
+    assert dict(table.samples)[100] == len(want) == 15
     assert want[:6] == [1, 5, 13, 17, 25, 29]
     for x, v in table.samples:
         assert v == len([m for m in want if m <= x]), x
@@ -206,27 +206,15 @@ def test_class_order_census_strict_bound():
             if h in by_box:
                 by_box[h] += 1
     assert counts50 == by_box
+    # the table holds 0 at every non-fundamental |D|, so order 0 would
+    # count those; no order below 1 is a class number
+    for orders in ([0], [0, -1], [1, -3]):
+        with pytest.raises(ValueError, match="orders must be >= 1"):
+            class_order_census(100, orders)
 
 
 def test_census_reference_bound_configured():
     assert CENSUS_REFERENCE_BOUND == 50_000_000
-
-
-def test_pgroup_density_trend_and_small_value():
-    est = pgroup_density(2, 50)
-    want = 0
-    total = 0
-    for d in range(3, 51):
-        if is_fundamental(-d):
-            total += 1
-            h = class_number_by_box_scan(-d)
-            if h & (h - 1) == 0:
-                want += 1
-    assert est.count_member == want
-    assert est.count_ambient == total
-    small = pgroup_density(2, 10**4)
-    large = pgroup_density(2, 10**5)
-    assert large.decimal < small.decimal
 
 
 def test_suitable_divisor_density_tiny_bound_is_zero():

@@ -103,7 +103,9 @@ def test_cyclotomic_ring_commutes(h, u, v):
 
 
 def test_make_character_is_homomorphism():
-    for D, h in ((-23, 3), (-47, 5), (-4027, 3), (-71, 7)):
+    # -3 and -4 have the trivial group; Cl(-11199) is C5 x C20, so the
+    # order-10 character reads the last coordinate mod a proper divisor
+    for D, h in ((-23, 3), (-47, 5), (-4027, 3), (-71, 7), (-3, 1), (-4, 1), (-11199, 10)):
         cg = class_group(D)
         chi = make_character(cg, h)
         forms = enumerate_reduced(D)
@@ -112,6 +114,16 @@ def test_make_character_is_homomorphism():
                 assert chi.log(compose(f, g)) == (chi.log(f) + chi.log(g)) % h
         logs = sorted({chi.log(f) for f in forms})
         assert logs == list(range(h))  # full character image
+
+
+def test_make_character_rejects_dependent_generators():
+    # Cl(-4027) is C3 x C3; a record naming one generator twice spans it
+    # twice over, which the span walk must refuse rather than overwrite
+    cg = class_group(-4027)
+    g, d = cg.generators[0]
+    cg.generators = [(g, d), (g, d)]
+    with pytest.raises(RuntimeError, match="span collision"):
+        make_character(cg, 3)
 
 
 def test_make_character_rejects_bad_order():

@@ -79,6 +79,25 @@ def test_enumerate_reduced_matches_per_a_loop_large():
         assert enumerate_reduced(D) == enumerate_reduced_per_a(D), D
 
 
+@pytest.mark.parametrize("abc", [(0, 1, 1), (1, 1, -1), (-2, 1, -3), (1, 2, 1)])
+def test_quadform_refuses_non_positive_definite(abc):
+    with pytest.raises(ValueError, match="is not positive definite"):
+        QuadForm(*abc)
+
+
+def test_quadform_is_its_tuple():
+    f = QuadForm(2, 1, 3)
+    assert f == (2, 1, 3) and hash(f) == hash((2, 1, 3))
+    assert {f: 1}[(2, 1, 3)] == 1
+    assert repr(f) == "(2,1,3)" and repr([f]) == "[(2,1,3)]"
+    assert (f.a, f.b, f.c, f.discriminant) == (2, 1, 3, -23)
+    assert sorted([QuadForm(2, 1, 3), QuadForm(1, 1, 6), QuadForm(2, -1, 3)]) == [
+        (1, 1, 6),
+        (2, -1, 3),
+        (2, 1, 3),
+    ]
+
+
 def test_enumerate_reduced_forms_are_reduced_and_distinct():
     for D in SAMPLE_DISCS:
         forms = enumerate_reduced(D)

@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, aut_order
-from .ntheory import factorize, is_prime, primes_up_to
+from .ntheory import coprime_mask, factorize, is_prime, primes_up_to
 from .sweep import check_budget, class_numbers
 
 DEFAULT_ENUM_BUDGET = 1_000_000
@@ -100,11 +100,7 @@ def _prime_set(S: Iterable[int]) -> frozenset[int]:
 
 
 def _coprime_orders(S: frozenset[int], x: int) -> list[int]:
-    out = []
-    for n in range(1, x + 1):
-        if all(n % p for p in S):
-            out.append(n)
-    return out
+    return np.nonzero(coprime_mask(x, S))[0].tolist()
 
 
 def weighted_sum_coprime(S: Iterable[int], x: int) -> Fraction:

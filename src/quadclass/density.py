@@ -13,13 +13,19 @@ DEFAULT_SIEVE_BUDGET and the table refuses X past its class-data cap.
 Only the census passes a budget through to the table, for runs at the
 reference bound.
 
+Landau counts are one sieve: ntheory.coprime_mask strikes the
+multiples of every prime outside the residue classes, which leaves the
+n whose prime factors all lie inside them (n = 1 as the empty product).
+
 Questions about the exponent of a class group take one of two routes,
-and no verdict is memoized.  forms.exponent_divides powers prime forms
-and needs no structure; the exponent-3 scan and the divisor walk of
-has_suitable_divisor ask it.  The suitable-divisor sieve screens on h
-with the suitability law of abelian._within_bound, which settles most
-discriminants instantly; the rest take certified structure through a
-ClassGroupCache.  So the sieve and its oracle share no verdict.
+one per construction of the H_p set, and no verdict is memoized.  Both
+first screen on h with the suitability law of abelian._within_bound,
+which settles most discriminants instantly.  The suitable-divisor
+sieve settles the rest by certified structure through a
+ClassGroupCache; the divisor walk of has_suitable_divisor settles them
+by forms.exponent_divides, which powers prime forms and needs no
+structure (the exponent-3 scan asks it too).  So the sieve and its
+oracle share no verdict.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, _within_bound, is_p_suitable
-from .forms import ClassGroupCache, class_group, exponent_divides
-from .ntheory import divisors, factorize, is_squarefree, prime_to_p_part, smallest_prime_factor
+from .forms import ClassGroupCache, class_group, class_number, exponent_divides
+from .ntheory import coprime_mask, divisors, factorize, is_squarefree, prime_to_p_part, primes_up_to
 from .sweep import check_budget, class_numbers
 
 DEFAULT_SIEVE_BUDGET = 100_000_000
@@ -184,29 +190,6 @@ def estimate(M: IntegerSet, N: IntegerSet, X: int) -> DensityEstimate:
 # ------------------------------------------------------------ Landau counts
 
 
-def _landau_mask(limit: int, modulus: int, residues: frozenset[int]) -> np.ndarray:
-    """mask[n] iff every prime factor of n lies in the residue classes;
-    n = 1 qualifies as the empty product.  Vectorized fixpoint over the
-    smallest-prime-factor table: each pass resolves one more prime
-    factor, so it stabilizes within log2(limit) rounds."""
-    spf = smallest_prime_factor(limit)
-    idx = np.arange(limit + 1, dtype=np.int64)
-    spf[0] = 1  # avoid dividing by zero; entry 0 is forced false below
-    quot = idx // spf
-    good_residue = np.zeros(modulus, dtype=bool)
-    for r in residues:
-        good_residue[r % modulus] = True
-    ok = good_residue[spf % modulus]
-    ok[0] = False
-    ok[1] = True
-    while True:
-        nxt = ok & ok[quot]
-        nxt[1] = True
-        if np.array_equal(nxt, ok):
-            return ok
-        ok = nxt
-
-
 def _sample_grid(X: int) -> list[int]:
     xs = [X]
     v = 1000
@@ -235,8 +218,8 @@ def landau_count(X: int, modulus: int, residues: Iterable[int]) -> LandauTable:
     for r in rs:
         if math.gcd(r, modulus) != 1:
             raise ValueError(f"residue {r} is not a unit mod {modulus}")
-    ok = _landau_mask(X, modulus, rs)
-    cum = np.cumsum(ok)
+    struck = [q for q in primes_up_to(X).tolist() if q % modulus not in rs]
+    cum = np.cumsum(coprime_mask(X, struck))
     samples = tuple((x, int(cum[x])) for x in _sample_grid(X))
     return LandauTable(modulus, rs, samples)
 
@@ -373,19 +356,15 @@ def has_suitable_divisor(N: int, p: int, h_table: np.ndarray | None = None) -> b
     """The direct H_p predicate: walk the divisors of N itself.  The
     independent counterpart of suitable_divisor_mask (divisor walk vs
     multiple marking), kept separate so the two constructions can be
-    compared.  h_table, when given, is a sweep prefix indexed by |D|;
-    the d it covers are settled by the prime forms, the rest by
-    certified structure."""
+    compared: every d is settled by the prime forms, never by certified
+    structure.  h_table, when given, is a sweep prefix indexed by |D|
+    that supplies h(-d) for the order screen; past it h(-d) comes from
+    enumerating the reduced forms."""
     for d in divisors(N):
         if d % 4 != 3 or not is_squarefree(d):
             continue
-        if h_table is not None and d < len(h_table):
-            # If the sieve ever settles its open d by exponent_divides, this
-            # should take certified structure, so the routes stay distinct.
-            verdict = _suitable_by_prime_forms(d, int(h_table[d]), p)
-        else:
-            verdict = is_suitable_fundamental_disc(d, p)
-        if verdict:
+        h = int(h_table[d]) if h_table is not None and d < len(h_table) else class_number(-d)
+        if _suitable_by_prime_forms(d, h, p):
             return True
     return False
 

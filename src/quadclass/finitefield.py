@@ -27,7 +27,8 @@ frobenius_power(s) is binary powering of the matrix, and
 element_of_order raises to (p^m - 1)/h by base-p Horner, one
 Frobenius step per digit.  Matrix products run in float64 (BLAS), which
 is exact while every dot product m*(p-1)^2 stays below 2^53; make_field
-refuses fields past that bound.
+refuses fields past that bound, and fields of degree m > 512, whose
+search takes minutes.
 """
 
 from __future__ import annotations
@@ -49,6 +50,11 @@ _SCREEN_CANDIDATES = 1000
 
 # Matrix products are exact float64 sums while m * (p - 1)^2 < 2^53.
 _EXACT_LIMIT = 2**53
+
+# Largest extension degree make_field builds.  The deterministic search
+# costs seconds near m = 512 (p = 3, m = 511: 14-19 s on a 2-vCPU x86-64
+# host) and did not finish in minutes at m = 1522.
+_MAX_DEGREE = 512
 
 
 def _screen_cap(p: int) -> int:
@@ -380,10 +386,15 @@ _field_cache: dict[tuple[int, int], FieldContext] = {}
 def make_field(p: int, m: int) -> FieldContext:
     """The field with p^m elements, modulus x^m + tail where tail is
     the first base-p counter value making the polynomial irreducible.
-    Raises ValueError when m < 1 or m*(p-1)^2 >= 2^53, past which the
-    Frobenius matrix products would not be exact."""
+    Raises ValueError when m < 1, when m > 512, past which the search
+    takes minutes, or when m*(p-1)^2 >= 2^53, past which the Frobenius
+    matrix products would not be exact."""
     if m < 1:
         raise ValueError("extension degree must be at least 1")
+    if m > _MAX_DEGREE:
+        raise ValueError(
+            f"field F_{p}^{m} is out of range: the degree must be at most {_MAX_DEGREE}"
+        )
     if m * (p - 1) ** 2 >= _EXACT_LIMIT:
         raise ValueError(
             f"field F_{p}^{m} is out of range: m*(p-1)^2 must be below 2^53"

@@ -51,23 +51,57 @@ def smallest_prime_factor(limit: int) -> np.ndarray:
     return spf
 
 
+def coprime_mask(limit: int, primes) -> np.ndarray:
+    """Boolean array c of length limit+1 with c[n] true iff n >= 1 and
+    no listed prime divides n.
+
+    >>> np.nonzero(coprime_mask(20, [2, 5]))[0].tolist()
+    [1, 3, 7, 9, 11, 13, 17, 19]
+    """
+    mask = np.ones(limit + 1, dtype=bool)
+    mask[:1] = False
+    for q in primes:
+        mask[q::q] = False
+    return mask
+
+
+# The first thirteen primes as Miller-Rabin bases decide primality
+# exactly below psi_13 (Sorenson and Webster, Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division; fine at desk scale.
+    """Deterministic primality by Miller-Rabin on the prime bases 2..41,
+    which is exact for n below psi_13 = 3317044064679887385961981.
+    Raises ValueError at or above it rather than guess.
 
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
+    >>> is_prime(2**61 - 1)
+    True
     """
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"primality is decided only below {_MR_EXACT_BELOW}, got {n}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    if n % 3 == 0:
-        return n == 3
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 

@@ -70,6 +70,9 @@ def test_large_prime_rows(capsys):
     assert out.strip().splitlines()[1:] == ["5,101,1,1", "5,1009,2,1"]
     out = _run(capsys, "witness", "--disc", "-47", "--p", "1009", "--bound", "100")
     assert out.strip().splitlines()[1] == "-47,5,1009,,"
+    # a prime past trial-division reach: 2^61 - 1 = 1 mod 5
+    out = _run(capsys, "suitable", "--disc", "-47", "--p", str(2**61 - 1))
+    assert out.strip().splitlines()[1] == f"-47,5,{2**61 - 1},0,"
 
 
 def test_exp3scan_rows(capsys):
@@ -207,6 +210,22 @@ def test_batch_output_pinned(capsys, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_5000_SHA256[fmt]
 
 
+# sha256 of CSV output from the two sieve-backed subcommands, `landau`
+# (Landau masks) and `clweights` (orders coprime to the skipped primes)
+SIEVE_OUTPUT_SHA256 = {
+    "landau --bound 1000000 --modulus 4 --residues 1":
+        "95a466f197dfa37de84997ba621a9b5d01b097ecc8870466f1dafe44e7056562",
+    "clweights --skip-primes 2,3 --bounds 100,1000,10000":
+        "01ec1c0373a0c95cfb18d040206fa6e673eb6a361772de6422fd8ebf0904a0b2",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SIEVE_OUTPUT_SHA256))
+def test_sieve_output_pinned(capsys, command):
+    out = _run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_OUTPUT_SHA256[command]
+
+
 def test_census_budget_override(capsys):
     # census is the one subcommand whose class-data cap can be set
     assert main(["census", "--budget", "100", "--max-abs-disc", "101", "--orders", "1"]) == 2
@@ -249,6 +268,12 @@ def test_budget_error_exit_code(capsys):
         ["landau", "--bound", "0", "--modulus", "4", "--residues", "1"],
         ["clweights", "--skip-primes", "0", "--bounds", "10"],
         ["clweights", "--skip-primes", "1", "--bounds", "10"],
+        # psi_13, where deterministic Miller-Rabin on bases 2..41 ends
+        ["suitable", "--disc", "-47", "--p", "3317044064679887385961981"],
+        ["clweights", "--skip-primes", "3317044064679887385961981", "--bounds", "10"],
+        # h = 1523 needs F_{2^1522}, past the degree cap of 512
+        ["traces", "--orders", "1523", "--p", "2"],
+        ["witness", "--disc", "-1000151", "--p", "2", "--bound", "1000"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

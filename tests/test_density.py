@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quadclass import density, forms
+from quadclass import abelian, density, forms
 from quadclass.abelian import is_p_suitable
 from quadclass.cohen_lenstra import enumerate_groups
 from quadclass.density import (
@@ -131,10 +131,10 @@ def test_dilation_count_identity():
         assert left.count_ambient == right.count_ambient
 
 
-def _landau_members_brute(x):
+def _landau_members_brute(x, modulus=4, residues=(1,)):
     out = [1]
     for n in range(2, x + 1):
-        if all(p % 4 == 1 for p in factorize(n)):
+        if all(p % modulus in residues for p in factorize(n)):
             out.append(n)
     return out
 
@@ -146,6 +146,18 @@ def test_landau_count_brute_force_small():
     assert want[:6] == [1, 5, 13, 17, 25, 29]
     for x, v in table.samples:
         assert v == len([m for m in want if m <= x]), x
+
+
+@pytest.mark.parametrize(
+    "modulus, residues",
+    [(1, (0,)), (1, ()), (4, ()), (4, (1, 3)), (5, (1, 4)), (12, (1, 5, 7, 11))],
+)
+def test_landau_mask_against_brute_force(modulus, residues):
+    """Every prefix count up to 300, so every entry of the sieve mask,
+    against trial factorization."""
+    want = _landau_members_brute(300, modulus, residues)
+    for x in range(1, 301):
+        assert landau_count(x, modulus, residues).samples == ((x, sum(m <= x for m in want)),)
 
 
 def test_landau_all_units_counts_coprime_integers():
@@ -261,7 +273,8 @@ def _refuse(*args, **kwargs):
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_sieve_and_walk_take_separate_routes(p, monkeypatch):
     """The sieve settles its open d without the prime forms, the walk
-    without certified structure, and the two agree on every N."""
+    without certified structure whether h(-d) comes from a full table,
+    a table shorter than N or no table, and the two agree on every N."""
     X = 2000
     h_table = sweep_counts(X)
     assert any(
@@ -274,8 +287,10 @@ def test_sieve_and_walk_take_separate_routes(p, monkeypatch):
         mask = suitable_divisor_mask(p, X)
     monkeypatch.setattr(density, "class_group", _refuse)
     monkeypatch.setattr(forms, "class_group", _refuse)
-    for N in range(1, X + 1):
-        assert bool(mask[N]) == has_suitable_divisor(N, p, h_table=h_table), N
+    monkeypatch.setattr(abelian, "structure_from_forms", _refuse)
+    for table in (h_table, h_table[: X // 4], None):
+        for N in range(1, X + 1):
+            assert bool(mask[N]) == has_suitable_divisor(N, p, h_table=table), N
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

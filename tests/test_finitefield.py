@@ -242,3 +242,7 @@ def test_field_size_refused_past_exact_range():
     with pytest.raises(ValueError):
         make_field(94906297, 1)  # (p-1)^2 just above 2^53
     assert make_field(94906249, 1).m == 1  # (p-1)^2 just below
+    # the degree cap: the deterministic search takes minutes past it
+    for p, m in ((2, 513), (3, 761), (2, 1522)):
+        with pytest.raises(ValueError, match="at most 512"):
+            make_field(p, m)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadclass.ntheory import (
+    coprime_mask,
     divisors,
     factorize,
     is_prime,
@@ -195,6 +196,45 @@ def test_is_prime_agrees_with_mask():
     mask = prime_mask(20000)
     for n in range(20001):
         assert is_prime(n) == bool(mask[n])
+
+
+# psi_12 is a strong pseudoprime to every prime base up to 37, psi_13
+# the least one to every prime base up to 41 (Sorenson and Webster)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize(
+    "n, want",
+    [
+        (PSI_12, False),
+        (3825123056546413051, False),  # strong pseudoprime to bases 2..31
+        (561, False),
+        (41041, False),
+        (825265, False),  # Carmichael numbers
+        (2**61 - 1, True),
+        (PSI_13 - 168, True),  # the largest prime below psi_13
+        (41, True),
+        (43, True),
+    ],
+)
+def test_is_prime_deterministic_range(n, want):
+    assert is_prime(n) is want
+
+
+def test_is_prime_refuses_past_exact_range():
+    for n in (PSI_13, PSI_13 + 2, 2**127 - 1):
+        with pytest.raises(ValueError, match="primality"):
+            is_prime(n)
+
+
+def test_coprime_mask_against_trial_division():
+    for primes in ([], [2], [2, 3, 5], [7, 11, 997], [3, 1009], [2003]):
+        for limit in (0, 1, 2, 30, 2000):
+            mask = coprime_mask(limit, primes)
+            assert len(mask) == limit + 1
+            for n in range(limit + 1):
+                assert bool(mask[n]) == (n >= 1 and all(n % q for q in primes)), (primes, n)
 
 
 def test_is_squarefree_agrees_with_mask():

@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
@@ -290,6 +291,12 @@ def class_order_census(
 # ------------------------------------------------- suitable-divisor density
 
 
+@lru_cache(maxsize=1 << 14)
+def _radical(h: int) -> int:
+    """rad(h), the product of the distinct primes of h; many d share h."""
+    return math.prod(factorize(h))
+
+
 def _suitability_screen(h: int, p: int) -> bool | None:
     """Decide p-suitability of a class group from its order alone where
     possible: True/False when the order settles it, None when the
@@ -299,7 +306,7 @@ def _suitability_screen(h: int, p: int) -> bool | None:
     in e under divisibility, so rad(h) already outside the bound
     certifies suitability and h inside it certifies unsuitability.
     """
-    if not _within_bound(math.prod(factorize(h)), p):
+    if not _within_bound(_radical(h), p):
         return True
     if _within_bound(h, p):
         return False

@@ -227,18 +227,27 @@ def sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def multiplicative_order(a: int, n: int) -> int:
-    """Order of a in (Z/n)^*; n is small here so plain iteration is fine."""
+    """Order of a in (Z/n)^*: start from phi(n) and divide out each prime
+    q of phi(n) while a^(order/q) = 1 mod n.
+
+    >>> multiplicative_order(2, 7)
+    3
+    """
     if n < 1:
         raise ValueError("modulus must be positive")
     if n == 1:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    t, k = a % n, 1
-    while t != 1:
-        t = t * a % n
-        k += 1
-    return k
+    order = n
+    for q in factorize(n):
+        order = order // q * (q - 1)
+    for q, e in factorize(order).items():
+        for _ in range(e):
+            if pow(a, order // q, n) != 1:
+                break
+            order //= q
+    return order
 
 
 def prime_to_p_part(n: int, p: int) -> int:

@@ -3,9 +3,21 @@
 A single pass over all triples a <= sqrt(X/3), 0 <= b <= a,
 a <= c <= (b^2 + X) / 4a touches every reduced form of every
 discriminant down to -X once, so tabulating h for a million fields
-costs O(X^{3/2}) instead of a million separate enumerations.  The
-kernel is numpy: for fixed (a, b) the forms with c > a land on an
-arithmetic progression of |D|, which one strided array add covers.
+costs O(X^{3/2}) instead of a million separate enumerations.
+
+The kernel is numpy and periodic.  Fix a and let m = 4a.  The forms
+with c > a put weight 1 (b in {0, a}) or 2 (otherwise) on every
+n = 4ac - b^2, so on n = -b^2 mod m; once n reaches n0 = 4a^2 + 4a
+every b has started, and from there the contribution of a is exactly
+periodic with period m.  _sweep_range(lo, hi) counts [lo, hi) in two
+parts.  Below n0 it adds the points one by one: every c = a term and
+the first ceil(b^2/m) terms c > a of each b, about a^2/12 per a.  From
+n0 on it walks the range in L2-sized blocks and adds each a's pattern,
+tiled to a row of at least _MIN_ROW entries, as one reshaped 2D add per
+block.  The row of a also carries a/2, a/4, ... (their periods divide
+m), so a adds its own row only until the row of 2a takes over at
+n0(2a).  Rows are held for one group of consecutive a at a time, at
+most _PATTERN_BUDGET entries.
 
 The kernel counts all reduced forms, primitive or not.  Fundamental
 discriminants admit no imprimitive forms (a common factor g of
@@ -13,22 +25,24 @@ a, b, c puts g^2 into the discriminant in a way the fundamentality
 conditions rule out), so restricting output to fundamental D makes
 the raw count equal h(D).  class_numbers applies that restriction
 once and keeps the result as the single class-number table every scan
-reads; the raw counter is exposed for tests.  class_numbers also owns
-the class-data budget (its budget argument overrides the cap), and
-batch_class_numbers only lists the table's nonzero entries.
+reads, as int32 (4 bytes per |D|; h stays far below 2^31 at any
+reachable X); the raw counter is exposed for tests.  class_numbers
+also owns the class-data budget (its budget argument overrides the
+cap), and batch_class_numbers only lists the table's nonzero entries.
 
-sweep_counts partitions its work across processes by striding the
-outer loop variable; partial counters merge by addition, so worker
-count never changes results.  It does not partition memory: with k
-workers each one holds a full array of 8(X+1) bytes, and the parent
-adds each into its running total as it arrives, while the class-data
-budget counts a single array.
+sweep_counts(X, workers=k) splits [0, X] into k ranges of |D| of
+about equal work, cut near X * (i/k)^(2/3) since the work below n
+grows like n^(3/2).  Each worker process sweeps and returns its own
+range only, and the parent copies the ranges into the one result
+array, so worker count never changes results and no worker holds a
+full array.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from math import isqrt
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -43,8 +57,17 @@ class ResourceLimitError(Exception):
 
 
 #: Largest X accepted by class_numbers without an explicit budget
-#: override.  The table alone is 8(X+1) bytes.
+#: override.  The table alone is 4(X+1) bytes (int32).
 DEFAULT_CLASS_DATA_BUDGET = 4_000_000
+
+#: Entries of the count array one block covers: 1 MiB of int32, inside L2.
+_BLOCK = 1 << 18
+#: Pattern-row entries held at once (1 MiB of int32); the rows of one
+#: group of consecutive a are added over every block before the next
+#: group's rows are built.
+_PATTERN_BUDGET = 1 << 18
+#: Shortest pattern row, so that numpy's inner loop stays long for small a.
+_MIN_ROW = 1024
 
 
 def check_budget(name: str, value: int, cap: int, kind: str) -> None:
@@ -53,42 +76,109 @@ def check_budget(name: str, value: int, cap: int, kind: str) -> None:
         raise ResourceLimitError(f"{name} = {value} exceeds the {kind} budget {cap}")
 
 
-def _sweep_slice(limit: int, a_start: int, a_step: int) -> np.ndarray:
-    """counts[n] = number of reduced forms with 4ac - b^2 = n, for the
-    slice a in {a_start, a_start + a_step, ...}."""
-    counts = np.zeros(max(limit, 0) + 1, dtype=np.int64)
-    if limit < 3:
+def _pattern_row(a: int) -> np.ndarray:
+    """The periodic weights of a, a/2, a/4, ... at n mod 4a, tiled to a
+    row of k + 1 periods with k * 4a >= _MIN_ROW.
+
+    The forms (a, b, c) with c > a put weight 1 (b in {0, a}) or 2 on
+    n = -b^2 mod 4a; a halving a' = a / 2^j repeats with a period that
+    divides 4a.
+    """
+    m = 4 * a
+    pattern = np.zeros(m, dtype=np.int64)
+    sub, reps = a, 1
+    while True:
+        r = -(np.arange(sub + 1, dtype=np.int64) ** 2) % (4 * sub)
+        part = np.bincount(r, minlength=4 * sub) + np.bincount(r[1:sub], minlength=4 * sub)
+        pattern += np.tile(part, reps)
+        if sub % 2:
+            break
+        sub, reps = sub // 2, reps * 2
+    return np.tile(pattern.astype(np.int32), -(-_MIN_ROW // m) + 1)
+
+
+def _add_prefix(counts: np.ndarray, lo: int, hi: int, a: int) -> None:
+    """Add the forms of a with n = 4ac - b^2 < n0 = 4a^2 + 4a, n in
+    [lo, hi), into counts[n - lo]: every c = a term, and the first
+    ceil(b^2 / 4a) terms c > a of each b."""
+    m = 4 * a
+    b = np.arange(a + 1, dtype=np.int64)
+    first = 4 * a * a - b * b
+    first = first[(first >= lo) & (first < hi)] - lo
+    np.add.at(counts, first, np.int32(1))
+    # b's terms c > a run n = start + m*j, j in [j0, j1)
+    start = 4 * a * a + m - b * b
+    j0 = np.maximum(-((start - lo) // m), 0)
+    j1 = np.minimum(-(-(b * b) // m), -((start - hi) // m))
+    k = np.maximum(j1 - j0, 0)
+    before = np.cumsum(k) - k
+    n = np.arange(0, m * int(k.sum()), m, dtype=np.int64)
+    n += np.repeat(start + m * (j0 - before) - lo, k)
+    # b = a, the last run, weighs 1; every other b > 0 weighs 2
+    split = n.size - int(k[-1])
+    np.add.at(counts, n[:split], np.int32(2))
+    np.add.at(counts, n[split:], np.int32(1))
+
+
+def _sweep_range(lo: int, hi: int) -> np.ndarray:
+    """counts[n - lo] = number of reduced forms with 4ac - b^2 = n, for
+    n in [lo, hi), as int32."""
+    counts = np.zeros(max(hi - lo, 0), dtype=np.int32)
+    if hi <= 3:
         return counts
-    for a in range(a_start, isqrt(limit // 3) + 1, a_step):
-        foura = 4 * a
-        for b in range(0, a + 1):
-            base = foura * a - b * b  # the c = a term
-            if base > limit:
-                continue
-            counts[base] += 1
-            start = base + foura
-            if start <= limit:
-                # one strided add covers every c > a at this (a, b)
-                counts[start::foura] += 1 if (b == 0 or b == a) else 2
+    # a form of a has n >= 3a^2; from n0(a) = 4a^2 + 4a on it is periodic
+    for a in range(1, isqrt((hi - 1) // 3) + 1):
+        if 4 * a * a + 4 * a > lo:
+            _add_prefix(counts, lo, hi, a)
+    # a adds its row over [n0(a), n0(2a)); from n0(2a) on the row of 2a
+    # carries it
+    a = 1
+    while 16 * a * a + 8 * a <= lo:
+        a += 1
+    while 4 * a * a + 4 * a < hi:
+        group, held = [], 0
+        # a row has fewer than 8a + _MIN_ROW entries
+        while 4 * a * a + 4 * a < hi and (
+            not group or held + 8 * a + _MIN_ROW <= _PATTERN_BUDGET
+        ):
+            row = _pattern_row(a)
+            group.append((4 * a * a + 4 * a, min(hi, 16 * a * a + 8 * a), 4 * a, row))
+            held += row.size
+            a += 1
+        for block in range(max(lo, group[0][0]), hi, _BLOCK):
+            block_end = min(block + _BLOCK, hi)
+            for n0, end, m, row in group:
+                if n0 >= block_end:
+                    break
+                s, e = max(block, n0), min(block_end, end)
+                if s >= e:
+                    continue
+                phase, width = s % m, row.size - m
+                rows = (e - s) // width
+                i = s - lo
+                body = counts[i : i + rows * width].reshape(rows, width)
+                body += row[phase : phase + width]
+                i += rows * width
+                counts[i : e - lo] += row[phase : phase + e - lo - i]
     return counts
 
 
 def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
-    """counts[n] = number of reduced forms of discriminant -n, n <= limit.
+    """counts[n] = number of reduced forms of discriminant -n, n <= limit,
+    as int32.
 
     No fundamentality or primitivity filtering; see class_numbers.
     """
+    size = max(limit, 0) + 1
     if workers <= 1:
-        return _sweep_slice(limit, 1, 1)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map yields lazily and drops each part once it is consumed
-        parts = pool.map(
-            _sweep_slice, [limit] * workers, range(1, workers + 1), [workers] * workers
-        )
-        total = next(parts)
-        for part in parts:
-            total += part
-    return total
+        return _sweep_range(0, size)
+    # the work below n grows like n^(3/2), so these cuts share it evenly
+    cuts = [round(size * (i / workers) ** (2 / 3)) for i in range(workers + 1)]
+    counts = np.empty(size, dtype=np.int32)
+    with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
+        for lo, hi, part in zip(cuts, cuts[1:], pool.map(_sweep_range, cuts[:-1], cuts[1:])):
+            counts[lo:hi] = part
+    return counts
 
 
 def count_reduced_forms(abs_disc: int) -> int:
@@ -122,7 +212,7 @@ def count_reduced_forms(abs_disc: int) -> int:
 
 
 # h[n] = h(-n) for fundamental -n, 0 otherwise; read-only, grown on demand
-_store = np.zeros(0, dtype=np.int64)
+_store = np.zeros(0, dtype=np.int32)
 
 
 def class_numbers(

@@ -6,10 +6,11 @@ automorphism counts by explicit endomorphism enumeration where the
 candidate space is small, and by Moebius counting over the explicitly
 built subgroup lattice where it is not; quotients by walking every
 subgroup; class numbers by scanning coefficient boxes; the order of a
-form by powering it to each cofactor of h.  Two retired fast paths stay
+form by powering it to each cofactor of h.  Three retired fast paths stay
 here as oracles for the routes that replaced them: class-group
-structure from the projection of every form into each Sylow subgroup, and
-reduced forms enumerated one leading coefficient at a time.
+structure from the projection of every form into each Sylow subgroup,
+reduced forms enumerated one leading coefficient at a time, and the
+strided class-number sweep with one array add per (a, b).
 
 Groups of order up to 64 are modeled concretely: elements are indexed
 0..n-1, the addition table is materialized, and subgroups live as int
@@ -214,6 +215,25 @@ def class_number_by_box_scan(D: int) -> int:
                 continue
             count += 1
     return count
+
+
+def sweep_counts_by_strides(limit: int) -> np.ndarray:
+    """counts[n] = number of reduced forms with 4ac - b^2 = n, n <= limit:
+    the c = a term of each (a, b), then one strided add over every c > a."""
+    counts = np.zeros(max(limit, 0) + 1, dtype=np.int64)
+    if limit < 3:
+        return counts
+    for a in range(1, isqrt(limit // 3) + 1):
+        foura = 4 * a
+        for b in range(0, a + 1):
+            base = foura * a - b * b  # the c = a term
+            if base > limit:
+                continue
+            counts[base] += 1
+            start = base + foura
+            if start <= limit:
+                counts[start::foura] += 1 if (b == 0 or b == a) else 2
+    return counts
 
 
 def partition_count(v: int) -> int:

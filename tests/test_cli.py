@@ -226,6 +226,25 @@ def test_sieve_output_pinned(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == SIEVE_OUTPUT_SHA256[command]
 
 
+# sha256 of CSV output from the sweep-backed subcommands up to the
+# class-data cap, recorded with the strided kernel that
+# tests/_oracles.py keeps as sweep_counts_by_strides
+SWEEP_OUTPUT_SHA256 = {
+    "census --max-abs-disc 4000000 --orders 1,2,3,128,256,512":
+        "200b1e22e032bc530804e255e1147f31238f0e15787cc3abe7ba426c80811598",
+    "clcompare --p 3 --p 5 --bound 4000000":
+        "90fa6cbf9703ddfb92aa44c975b5534ce146e1adda71c4556e88698ca8b57a55",
+    "batch --max-abs-disc 1000000":
+        "4aae2542885eb3de80f78cbffdf4c229cfccb89be0442e7ed4914026f404594a",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SWEEP_OUTPUT_SHA256))
+def test_sweep_output_pinned(capsys, command):
+    out = _run(capsys, *command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_OUTPUT_SHA256[command]
+
+
 def test_census_budget_override(capsys):
     # census is the one subcommand whose class-data cap can be set
     assert main(["census", "--budget", "100", "--max-abs-disc", "101", "--orders", "1"]) == 2
@@ -274,6 +293,9 @@ def test_budget_error_exit_code(capsys):
         # h = 1523 needs F_{2^1522}, past the degree cap of 512
         ["traces", "--orders", "1523", "--p", "2"],
         ["witness", "--disc", "-1000151", "--p", "2", "--bound", "1000"],
+        # 2 has order 50000003 mod 100000007, read off the factorization
+        # of phi(h) in well under a second
+        ["traces", "--orders", "100000007", "--p", "2"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):

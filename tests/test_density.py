@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quadclass import abelian, density, forms
+from quadclass import abelian, density, forms, ntheory
 from quadclass.abelian import is_p_suitable
 from quadclass.cohen_lenstra import enumerate_groups
 from quadclass.density import (
@@ -243,6 +243,24 @@ def test_suitability_screen_against_every_group_of_each_order(p):
         verdicts = {is_p_suitable(G, p).suitable for G in enumerate_groups(h)}
         want = verdicts.pop() if len(verdicts) == 1 else None
         assert _suitability_screen(h, p) == want, (h, p)
+
+
+def test_screen_factors_each_order_once(monkeypatch):
+    factored = []
+
+    def counting_factorize(n):
+        factored.append(n)
+        return ntheory.factorize(n)
+
+    monkeypatch.setattr(density, "factorize", counting_factorize)
+    density._radical.cache_clear()
+    try:
+        for h in (12, 30, 12, 12, 30):
+            for p in (2, 5):
+                _suitability_screen(h, p)
+    finally:
+        density._radical.cache_clear()
+    assert sorted(factored) == [12, 30]
 
 
 def test_suitable_classifier_against_enumeration():

@@ -178,6 +178,18 @@ def test_multiplicative_order_minimal():
             assert all(pow(a, j, n) != 1 for j in range(1, k))
 
 
+def test_multiplicative_order_against_stepping():
+    # every unit mod n <= 500: step a^k one multiplication at a time
+    for n in range(1, 501):
+        for a in range(n):
+            if math.gcd(a, n) != 1:
+                continue
+            t, k = a % n, 1
+            while t != 1 % n:
+                t, k = t * a % n, k + 1
+            assert multiplicative_order(a, n) == k, (a, n)
+
+
 @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 5, 7]))
 def test_prime_to_p_part(n, p):
     m = prime_to_p_part(n, p)

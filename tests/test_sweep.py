@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from quadclass.sweep import (
     sweep_counts,
 )
 
-from _oracles import class_number_by_box_scan
+from _oracles import class_number_by_box_scan, sweep_counts_by_strides
 
 
 def _all_reduced_by_box_scan(n: int) -> int:
@@ -93,3 +96,54 @@ def test_budget_guard():
     class_numbers(5000, budget=5000)
     with pytest.raises(ResourceLimitError):
         class_numbers(5001, budget=5000)
+
+
+def _n0(a: int) -> int:
+    # from n0 on, the forms of leading coefficient a repeat with period 4a
+    return 4 * a * a + 4 * a
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [0, 1, 2, 3]
+    + sorted(random.Random(13).sample(range(4, 200_001), 6))
+    + [_n0(a) + d for a in (1, 2, 7, 31, 100, 223) for d in (-1, 0, 1)],
+)
+def test_sweep_matches_strided_oracle(limit):
+    counts = sweep_counts(limit)
+    assert counts.dtype == np.int32
+    assert np.array_equal(counts, sweep_counts_by_strides(limit))
+
+
+def test_range_cuts_inside_prefix_regions():
+    X = 60_000
+    want = sweep_counts_by_strides(X)
+    # the forms of a start at 3a^2, so every cut below is inside the
+    # point-by-point part of some a, or exactly where a's periodic part
+    # or the row of 2a begins
+    cuts = [0, 3, 4, _n0(40) - 1, _n0(40), 3 * 60 * 60 + 5, _n0(2 * 50), _n0(2 * 50) + 1, X + 1]
+    assert cuts == sorted(cuts)
+    parts = [sweep._sweep_range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), want)
+    for k in (1, 2, 3):
+        assert np.array_equal(sweep_counts(X, workers=k), want), k
+
+
+def test_table_is_int32_and_read_only():
+    table = class_numbers(3000)
+    assert table.dtype == np.int32
+    assert not table.flags.writeable
+    assert np.array_equal(table, np.where(fundamental_mask(3000), sweep_counts_by_strides(3000), 0))
+
+
+def test_sweep_memory_within_budget():
+    # the int32 counts, plus at most _PATTERN_BUDGET int32 pattern entries
+    # and, per a, its prefix points (about X/36 int64 values) and pattern
+    X = 200_000
+    tracemalloc.start()
+    try:
+        sweep_counts(X, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)

@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .forms import QuadForm, _compose, _pow, _reduce, principal_form
-from .ntheory import divisors, factorize, prime_to_p_part
+from .forms import QuadForm, _compose, _reduce, principal_form
+from .ntheory import divisors, factorize, power, prime_to_p_part
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ class _CheckedGroup:
 
     def pow(self, f: tuple, n: int) -> tuple:
         """f^n for n >= 0, every product checked by mul."""
-        return _pow(f, n, self.mul) if n else self.identity
+        return power(f, n, self.mul) if n else self.identity
 
     def inverse(self, f: tuple) -> tuple:
         a, b, c = f

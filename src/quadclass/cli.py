@@ -3,20 +3,24 @@
 Every subcommand computes rows in a canonical order (ascending |D|,
 ascending prime) and emits them as CSV (default) or as a JSON array of
 objects keyed by the CSV header, so fixed inputs give byte-identical
-output regardless of worker count.  Errors exit nonzero with a single
-diagnostic line on stderr.
+output regardless of worker count.  Rows are written to --output or
+stdout as they are formatted (JSON 4096 rows at a time), never held as
+a second copy of the whole output.  Every
+bad input, whether argparse or a subcommand refuses it, exits 2 with
+one line ``quadclass: error: <msg>`` on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 from fractions import Fraction
+from itertools import islice
 
 from . import cohen_lenstra, density, dihedral, finitefield
 from .abelian import AbelianGroup, is_p_suitable
@@ -29,22 +33,21 @@ from .sweep import ResourceLimitError, batch_class_numbers
 CACHE_ENV = "QUADCLASS_CACHE"
 
 
-def _emit(headers: list[str], rows: list[list], args) -> int:
-    buf = io.StringIO()
-    if args.format == "csv":
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows(rows)
-    else:
-        objs = [dict(zip(headers, row)) for row in rows]
-        buf.write(json.dumps(objs, indent=2))
-        buf.write("\n")
-    text = buf.getvalue()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(headers: list[str], rows, args) -> int:
+    """Write rows (any iterable) to --output or stdout as they come; the
+    JSON array is laid out as json.dumps(..., indent=2) lays it out."""
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "csv":
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(headers)
+            writer.writerows(rows)
+        else:
+            # json.dumps of 4096 rows at a time, less its "[\n" and "\n]"
+            rows, sep = iter(rows), "[\n"
+            while chunk := list(islice(rows, 4096)):
+                fh.write(sep + json.dumps([dict(zip(headers, r)) for r in chunk], indent=2)[2:-2])
+                sep = ",\n"
+            fh.write("[]\n" if sep == "[\n" else "\n]\n")
     return 0
 
 
@@ -70,14 +73,12 @@ def _cmd_classgroup(args) -> int:
 
 def _cmd_batch(args) -> int:
     ns, hs = batch_class_numbers(args.max_abs_disc, workers=args.workers)
-    rows = list(zip((-ns).tolist(), hs.tolist()))
-    return _emit(["disc", "h"], rows, args)
+    return _emit(["disc", "h"], zip((-ns).tolist(), hs.tolist()), args)
 
 
 def _cmd_census(args) -> int:
-    orders = [int(t) for t in args.orders.split(",")]
     out = density.class_order_census(
-        args.max_abs_disc, orders, workers=args.workers, budget=args.budget
+        args.max_abs_disc, args.orders, workers=args.workers, budget=args.budget
     )
     rows = [[h, out[h]] for h in sorted(out)]
     return _emit(["order", "count"], rows, args)
@@ -161,8 +162,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_landau(args) -> int:
-    residues = [int(t) for t in args.residues.split(",")] if args.residues else []
-    table = density.landau_count(args.bound, args.modulus, residues)
+    table = density.landau_count(args.bound, args.modulus, args.residues)
     rows = [[x, m] for x, m in table.samples]
     return _emit(["x", "count"], rows, args)
 
@@ -198,11 +198,23 @@ def _cmd_clcompare(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t]
+    try:
+        return [int(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, whose errors
+    are one stderr line and exit 2, without the usage block."""
+
+    def error(self, message):
+        print(f"quadclass: error: {message}", file=sys.stderr)
+        sys.exit(2)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadclass",
         description="Class groups of imaginary quadratic fields, dihedral "
         "eigenform coefficients, and density scans.",
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("census", _cmd_census, "count fundamental |D| < X per class number")
     p.add_argument("--max-abs-disc", type=int, required=True)
-    p.add_argument("--orders", required=True, help="comma-separated class numbers")
+    p.add_argument("--orders", type=_int_list, required=True, help="comma-separated class numbers")
     p.add_argument("--budget", type=int, help="override the class-data budget")
 
     p = add("exp3scan", _cmd_exp3scan, "fundamental |D| <= X with exponent-3 class group")
@@ -255,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("landau", _cmd_landau, "count integers with prime factors in residue classes")
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--residues", default="", help="comma-separated residues")
+    p.add_argument("--residues", type=_int_list, default=[], help="comma-separated residues")
 
     p = add("clweights", _cmd_clweights, "weighted group sums vs the prime lower bound")
     p.add_argument(

@@ -40,7 +40,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, _within_bound, is_p_suitable
 from .forms import ClassGroupCache, class_group, class_number, exponent_divides
-from .ntheory import coprime_mask, divisors, factorize, is_squarefree, prime_to_p_part, primes_up_to
+from .ntheory import coprime_mask, factorize, is_squarefree, prime_to_p_part, primes_up_to, squarefree_mask
 from .sweep import check_budget, class_numbers
 
 DEFAULT_SIEVE_BUDGET = 100_000_000
@@ -121,8 +121,6 @@ def residue_class(modulus: int, residues: Iterable[int]) -> IntegerSet:
 
 
 def squarefree_integers() -> IntegerSet:
-    from .ntheory import squarefree_mask
-
     return IntegerSet("squarefree", lambda n: n >= 1 and is_squarefree(n), squarefree_mask)
 
 
@@ -367,8 +365,11 @@ def has_suitable_divisor(N: int, p: int, h_table: np.ndarray | None = None) -> b
     structure.  h_table, when given, is a sweep prefix indexed by |D|
     that supplies h(-d) for the order screen; past it h(-d) comes from
     enumerating the reduced forms."""
-    for d in divisors(N):
-        if d % 4 != 3 or not is_squarefree(d):
+    squarefree_divisors = [1]
+    for q in factorize(N):
+        squarefree_divisors += [d * q for d in squarefree_divisors]
+    for d in sorted(squarefree_divisors):
+        if d % 4 != 3:
             continue
         h = int(h_table[d]) if h_table is not None and d < len(h_table) else class_number(-d)
         if _suitable_by_prime_forms(d, h, p):

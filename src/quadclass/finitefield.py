@@ -39,7 +39,7 @@ from math import gcd
 
 import numpy as np
 
-from .ntheory import divisors, factorize, multiplicative_order
+from .ntheory import divisors, factorize, multiplicative_order, power
 
 # The screening stock holds the irreducibles of every degree d with
 # p^d <= _SCREEN_CANDIDATES, so building it enumerates about that many
@@ -78,15 +78,10 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _matpow(a: np.ndarray, e: int, p: int) -> np.ndarray:
-    """a^e mod p for a square matrix a, by left-to-right binary powering."""
+    """a^e mod p for a square matrix a, by binary powering."""
     if e == 0:
         return np.eye(len(a), dtype=np.int64)
-    out = a
-    for bit in bin(e)[3:]:
-        out = _matmul(out, out, p)
-        if bit == "1":
-            out = _matmul(out, a, p)
-    return out
+    return power(a, e, lambda x, y: _matmul(x, y, p))
 
 
 def _digits(k: int, p: int) -> list[int]:
@@ -209,23 +204,6 @@ class FieldContext:
     def _mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return self._reduce(np.convolve(a, b))
 
-    def _sqr(self, a: np.ndarray) -> np.ndarray:
-        if self.p == 2:
-            out = np.zeros(2 * self.m - 1, dtype=np.int64)
-            out[::2] = a
-            return self._reduce(out)
-        return self._reduce(np.convolve(a, a))
-
-    def _pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        out = np.zeros(self.m, dtype=np.int64)
-        out[0] = 1
-        if e:
-            for bit in bin(e)[2:]:
-                out = self._sqr(out)
-                if bit == "1":
-                    out = self._mul(out, a)
-        return out
-
     def _frobenius_matrix(self) -> np.ndarray:
         """Matrix of e -> e^p in the power basis (columns are x^{ip}),
         read-only.  The companion matrix C of the modulus multiplies by
@@ -308,7 +286,9 @@ class FieldElement:
             e = -e
         else:
             base = self
-        vec = self.ctx._pow(base._vec(), e)
+        if not e:
+            return self.ctx.one()
+        vec = power(base._vec(), e, self.ctx._mul)
         return FieldElement(self.ctx, tuple(int(c) for c in vec))
 
     def inverse(self) -> "FieldElement":
@@ -450,7 +430,7 @@ def element_of_order(ctx: FieldContext, h: int) -> FieldElement:
     hfactors = list(factorize(h))
     for k in range(1, ctx.order):
         g = ctx.element(_digits(k, p))._vec()
-        powers = {d: ctx._pow(g, d) for d in set(digits) if d}
+        powers = {d: power(g, d, ctx._mul) for d in set(digits) if d}
         vec = powers[digits[0]]
         for d in digits[1:]:
             vec = _matmul(frob, vec, p)

@@ -7,10 +7,11 @@ composition.
 
 A ``QuadForm`` is an ``(a, b, c)`` int tuple whose constructor checks
 that the form is positive definite.  The arithmetic (``_reduce``,
-``_compose``, ``_pow``) takes such tuples as they are, with the
-discriminant passed in, and validates nothing inside its loops; a public
-function wraps the kernel's result with ``QuadForm._make``, which does
-not validate again.
+``_compose``, and ``ntheory.power`` over ``_compose``) takes such tuples
+as they are, with the discriminant passed in, and validates nothing
+inside its loops; a public function wraps the kernel's result with
+``QuadForm._make``, which does not validate again.  ``fundamental_mask``
+is the strike sieve ``ntheory.coprime_mask`` and a residue pattern.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from math import isqrt
 
 import numpy as np
 
-from .ntheory import is_squarefree, kronecker, primes_up_to, sqrt_mod_prime, squarefree_mask, xgcd
+from .ntheory import coprime_mask, is_squarefree, kronecker, power, primes_up_to, sqrt_mod_prime, xgcd
 
 
 def is_fundamental(D: int) -> bool:
@@ -44,15 +45,24 @@ def is_fundamental(D: int) -> bool:
     return False
 
 
+# n mod 16 with -n = 1 mod 4, or -n = 4m with m = 2, 3 mod 4
+_FUNDAMENTAL_MOD_16 = np.isin(np.arange(16), (3, 4, 7, 8, 11, 15))
+
+
 def fundamental_mask(limit: int) -> np.ndarray:
-    """Boolean array f of length limit+1: f[n] true iff -n is fundamental."""
-    n = np.arange(limit + 1, dtype=np.int64)
-    sqf = squarefree_mask(limit)
-    mask = (n % 4 == 3) & sqf
-    # -n = 4m with m = -(n/4); m mod 4 in {2, 3} means n/4 mod 4 in {1, 2}
-    quarter = n[::4] // 4
-    mask[::4] = ((quarter % 4 == 1) | (quarter % 4 == 2)) & sqf[quarter]
-    return mask
+    """Boolean array f of length limit+1: f[n] true iff -n is fundamental,
+    i.e. n = 3, 4, 7, 8, 11 or 15 mod 16 and no odd prime square divides
+    n.  The residue pattern is anded in place: no other array of length
+    limit+1 is made.
+
+    >>> np.nonzero(fundamental_mask(24))[0].tolist()
+    [3, 4, 7, 8, 11, 15, 19, 20, 23, 24]
+    """
+    odd_primes = primes_up_to(isqrt(max(limit, 0))).tolist()[1:]
+    mask = coprime_mask(limit | 15, [q * q for q in odd_primes])  # whole 16-entry periods
+    rows = mask.reshape(-1, 16)
+    rows &= _FUNDAMENTAL_MOD_16
+    return mask[: limit + 1]
 
 
 def _disc_value(D) -> int:
@@ -145,19 +155,6 @@ def _compose(f: tuple[int, int, int], g: tuple[int, int, int], D: int) -> tuple[
     return _reduce(a3, b3, c3, D)
 
 
-def _pow(f, n: int, mul):
-    """f^n for n >= 1 under the product mul, by right-to-left binary
-    powering: n.bit_length() + popcount(n) - 2 products."""
-    result = None
-    while True:
-        if n & 1:
-            result = f if result is None else mul(result, f)
-        n >>= 1
-        if not n:
-            return result
-        f = mul(f, f)
-
-
 def reduce_form(f: QuadForm) -> QuadForm:
     """The unique reduced form equivalent to f.
 
@@ -192,7 +189,7 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     D = f.discriminant
     if n == 0:
         return principal_form(D)
-    return QuadForm._make(_pow(_reduce(*f, D), n, lambda x, y: _compose(x, y, D)))
+    return QuadForm._make(power(_reduce(*f, D), n, lambda x, y: _compose(x, y, D)))
 
 
 def enumerate_reduced(D) -> list[QuadForm]:
@@ -269,24 +266,16 @@ def prime_form(D, ell: int):
         return QuadForm._make(_reduce(ell, b, (b * b - D) // (4 * ell), D))
 
     if ell == 2:
-        if D % 8 == 1:
-            return reduced(1)
-        if D % 2:
-            return INERT
-        for b in (0, 2):
-            if (b * b - D) % 8 == 0:
-                return Ramified(reduced(b))
-        raise AssertionError(f"no ramified form above 2 for D={D}")
-    sym = kronecker(D, ell)
-    if sym == -1:
+        if D % 2 == 0:  # D = 0 or 4 mod 8: b = 0 or 2
+            return Ramified(reduced(D % 8 // 2))
+        return reduced(1) if D % 8 == 1 else INERT
+    if kronecker(D, ell) == -1:
         return INERT
-    if sym == 0:
-        for b in range(0, 2 * ell + 1):
-            if (b - D) % 2 == 0 and (b * b - D) % (4 * ell) == 0:
-                return Ramified(reduced(b))
-        raise AssertionError(f"no ramified form above {ell} for D={D}")
+    # b = +-s mod ell with the parity of D solves b^2 = D mod 4*ell; when
+    # ell | D, s = 0 and b is 0 or ell
     s = sqrt_mod_prime(D % ell, ell)
-    return reduced(s if (s - D) % 2 == 0 else ell - s)
+    form = reduced(s if (s - D) % 2 == 0 else ell - s)
+    return Ramified(form) if D % ell == 0 else form
 
 
 def exponent_divides(D, n: int) -> bool:
@@ -314,7 +303,7 @@ def exponent_divides(D, n: int) -> bool:
         if pf is INERT:
             continue
         f = pf.form if isinstance(pf, Ramified) else pf
-        if _pow(f, n, lambda x, y: _compose(x, y, D)) != one:
+        if power(f, n, lambda x, y: _compose(x, y, D)) != one:
             return False
     return True
 

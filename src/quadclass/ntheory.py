@@ -1,7 +1,8 @@
 """Elementary number theory shared by the other modules.
 
 Everything here is deterministic and exact; sieves return numpy arrays,
-scalar helpers work on plain Python ints.
+scalar helpers work on plain Python ints.  Every integer-set mask is the
+strike sieve coprime_mask, and power is the one binary powering loop.
 """
 
 from __future__ import annotations
@@ -32,12 +33,7 @@ def squarefree_mask(limit: int) -> np.ndarray:
 
     s[0] is set false; 1 counts as squarefree.
     """
-    mask = np.ones(limit + 1, dtype=bool)
-    if limit >= 0:
-        mask[0] = False
-    for d in range(2, isqrt(limit) + 1):
-        mask[d * d :: d * d] = False
-    return mask
+    return coprime_mask(limit, [p * p for p in primes_up_to(isqrt(max(limit, 0))).tolist()])
 
 
 def smallest_prime_factor(limit: int) -> np.ndarray:
@@ -51,16 +47,18 @@ def smallest_prime_factor(limit: int) -> np.ndarray:
     return spf
 
 
-def coprime_mask(limit: int, primes) -> np.ndarray:
+def coprime_mask(limit: int, moduli) -> np.ndarray:
     """Boolean array c of length limit+1 with c[n] true iff n >= 1 and
-    no listed prime divides n.
+    no listed modulus divides n; the array is the only allocation.
 
     >>> np.nonzero(coprime_mask(20, [2, 5]))[0].tolist()
     [1, 3, 7, 9, 11, 13, 17, 19]
+    >>> np.nonzero(coprime_mask(20, [4, 9]))[0].tolist()
+    [1, 2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19]
     """
     mask = np.ones(limit + 1, dtype=bool)
     mask[:1] = False
-    for q in primes:
+    for q in moduli:
         mask[q::q] = False
     return mask
 
@@ -136,6 +134,23 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
+
+
+def power(x, n: int, mul):
+    """x^n for n >= 1 under the associative product mul, by right-to-left
+    binary powering: n.bit_length() + popcount(n) - 2 products.
+
+    >>> power(3, 13, lambda a, b: a * b % 1000)
+    323
+    """
+    result = None
+    while True:
+        if n & 1:
+            result = x if result is None else mul(result, x)
+        n >>= 1
+        if not n:
+            return result
+        x = mul(x, x)
 
 
 def is_squarefree(n: int) -> bool:

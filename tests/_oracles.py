@@ -26,7 +26,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from quadclass.abelian import _CheckedGroup
-from quadclass.forms import QuadForm, form_pow, principal_form
+from quadclass.forms import INERT, QuadForm, Ramified, form_pow, principal_form, reduce_form
 from quadclass.ntheory import factorize
 
 
@@ -268,6 +268,17 @@ def element_order(f: QuadForm, group_order: int) -> int:
         while order % p == 0 and form_pow(f, order // p) == ident:
             order //= p
     return order
+
+
+def prime_form_by_least_b(D: int, ell: int):
+    """The class above the prime ell by search: the least b in [0, 2*ell)
+    with b = D mod 2 and b^2 = D mod 4*ell gives the form (ell, b, c),
+    reduced; Ramified when ell divides D, INERT when no b exists."""
+    for b in range(2 * ell):
+        if (b - D) % 2 == 0 and (b * b - D) % (4 * ell) == 0:
+            f = reduce_form(QuadForm(ell, b, (b * b - D) // (4 * ell)))
+            return Ramified(f) if D % ell == 0 else f
+    return INERT
 
 
 # ------------------------------------------------------ retired fast paths

@@ -157,6 +157,23 @@ def test_output_file_byte_identical(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "--max-abs-disc", "2000"],
+        ["classgroup", "--disc", "-47", "--disc", "-4027"],
+        ["exp3scan", "--max-abs-disc", "3"],  # no rows
+    ],
+)
+def test_emit_same_bytes_to_stdout_and_output(tmp_path, capsys, fmt, argv):
+    path = tmp_path / "out"
+    stdout = _run(capsys, "--format", fmt, *argv)
+    assert main(["--format", fmt, "--output", str(path), *argv]) == 0
+    assert path.read_bytes() == stdout.encode()
+    assert capsys.readouterr().out == ""
+
+
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     out = {}
     for workers in ("1", "2"):
@@ -303,6 +320,29 @@ def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("quadclass: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "--disc", "abc"],
+        ["--format", "xml", "classgroup", "--disc", "-47"],
+        ["frobnicate"],
+        [],
+        ["density", "--p", "2"],
+        ["census", "--max-abs-disc", "100", "--orders", "1,x"],
+        ["landau", "--bound", "100", "--modulus", "4", "--residues", "1,y"],
+        ["traces", "--orders", "5,z", "--p", "2"],
+    ],
+)
+def test_malformed_input_exits_two_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("quadclass: error: ")
 
 
 def test_malformed_flags_exit_nonzero():

@@ -27,7 +27,7 @@ from quadclass.forms import (
 )
 from quadclass.ntheory import is_squarefree
 
-from _oracles import class_number_by_box_scan, enumerate_reduced_per_a
+from _oracles import class_number_by_box_scan, enumerate_reduced_per_a, prime_form_by_least_b
 
 # fundamental, mixed parity and class-group shape
 SAMPLE_DISCS = [-3, -4, -8, -23, -47, -71, -163, -231, -420, -4027]
@@ -48,9 +48,13 @@ def test_is_fundamental_matches_definition():
 
 
 def test_fundamental_mask_matches_pointwise():
-    mask = fundamental_mask(5000)
-    for d in range(5001):
-        assert bool(mask[d]) == is_fundamental(-d), d
+    # every short limit, so that the cut from whole 16-entry periods back
+    # to limit + 1 entries is exercised at every phase
+    for limit in [*range(65), 5000]:
+        mask = fundamental_mask(limit)
+        assert len(mask) == limit + 1
+        for d in range(limit + 1):
+            assert bool(mask[d]) == (d >= 1 and _fundamental_by_definition(-d)), (limit, d)
 
 
 def test_reduced_enumeration_matches_box_scan():
@@ -183,6 +187,16 @@ def test_prime_form_classification():
                 assert isinstance(out, QuadForm)
                 assert out in enumerate_reduced(D)
                 assert _represents(out, ell)
+
+
+def test_prime_form_matches_least_b_search():
+    # every discriminant down to -2000, fundamental or not, so that ell^2
+    # may divide D on the ramified branch
+    for d in range(3, 2001):
+        if -d % 4 not in (0, 1):
+            continue
+        for ell in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59):
+            assert prime_form(-d, ell) == prime_form_by_least_b(-d, ell), (-d, ell)
 
 
 def test_prime_form_order_divides_class_number():

@@ -12,6 +12,7 @@ from quadclass.ntheory import (
     is_squarefree,
     kronecker,
     multiplicative_order,
+    power,
     prime_mask,
     prime_to_p_part,
     primes_up_to,
@@ -61,9 +62,13 @@ def test_primes_up_to_agrees_with_mask():
 
 
 def test_squarefree_mask_matches_trial():
-    mask = squarefree_mask(3000)
-    for n in range(1, 3001):
-        assert bool(mask[n]) == _squarefree_by_trial(n), n
+    # every short limit, so that no tail past the last struck multiple is
+    # missed, then every n up to 5000
+    for limit in [*range(65), 5000]:
+        mask = squarefree_mask(limit)
+        assert len(mask) == limit + 1 and not mask[0]
+        for n in range(1, limit + 1):
+            assert bool(mask[n]) == _squarefree_by_trial(n), (limit, n)
 
 
 def test_squarefree_count_by_inclusion_exclusion():
@@ -241,12 +246,26 @@ def test_is_prime_refuses_past_exact_range():
 
 
 def test_coprime_mask_against_trial_division():
-    for primes in ([], [2], [2, 3, 5], [7, 11, 997], [3, 1009], [2003]):
+    # primes, and moduli that are not prime (the squares of the squarefree
+    # and fundamental masks)
+    for moduli in ([], [2], [2, 3, 5], [7, 11, 997], [3, 1009], [2003], [4, 9, 25], [9, 49, 6]):
         for limit in (0, 1, 2, 30, 2000):
-            mask = coprime_mask(limit, primes)
+            mask = coprime_mask(limit, moduli)
             assert len(mask) == limit + 1
             for n in range(limit + 1):
-                assert bool(mask[n]) == (n >= 1 and all(n % q for q in primes)), (primes, n)
+                assert bool(mask[n]) == (n >= 1 and all(n % q for q in moduli)), (moduli, n)
+
+
+def test_power_matches_repeated_product():
+    for x in (2, 3, 10):
+        for n in range(1, 70):
+            assert power(x, n, lambda a, b: a * b % 1000003) == pow(x, n, 1000003)
+    # the products are counted: bit_length + popcount - 2
+    calls = []
+    for n in (1, 2, 7, 64, 1000):
+        calls.clear()
+        power(1, n, lambda a, b: calls.append(0) or a * b)
+        assert len(calls) == n.bit_length() + bin(n).count("1") - 2, n
 
 
 def test_is_squarefree_agrees_with_mask():

@@ -147,3 +147,18 @@ def test_sweep_memory_within_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
+
+
+def test_table_build_memory_within_budget(monkeypatch):
+    # from an empty store: the int32 table, the sweep's pattern rows, and
+    # at most 3 more bytes per |D| for the fundamental mask and its
+    # complement; no int64 array of length X+1
+    X = 200_000
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    tracemalloc.start()
+    try:
+        class_numbers(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + 3 * (X + 1)

@@ -10,20 +10,24 @@ Structure from forms composes the ``QuadForm`` tuples through the private
 kernel of ``forms``, which validates nothing inside the loops.  It costs
 O(h) checked products plus one p-th power per element of each Sylow
 p-subgroup (after Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt,
-Math. Comp. 74, 2005):
+Math. Comp. 74, 2005).  Every group table is built by one coset walk,
+``_extend``, which stores each element at a position whose mixed-radix
+digits over the generator orders are its coordinates:
 
 - the sorted forms are walked once, growing the subgroup they generate
   coset by coset until it has h elements; the forms that extended it are
   a generating set;
 - for each p^v || h those generators, raised to h/p^v, are closed coset by
   coset into the Sylow p-subgroup, which must have exactly p^v elements;
-- one p-th power map per Sylow set serves both the basis walk and the
-  torsion-count cross-check.
+- one p-th power map per Sylow set serves both the basis walk, which reads
+  span coordinates off walk positions, and the torsion-count cross-check;
+- ``dihedral.make_character`` walks the record's generators the same way
+  and reads a character off the last coordinate.
 
 Every certificate is kept: each product must land in the input set, the
-closures must reach their sizes without a coset collision, the basis span
-must cover the Sylow set exactly once, and the torsion counts must give the
-same partition as the basis.
+walks must reach their sizes without a coset collision, each basis element
+must return to the span after exactly its order, the basis span must cover
+the Sylow set, and each p^j-torsion count must match the basis orders.
 """
 
 from __future__ import annotations
@@ -173,36 +177,49 @@ class _CheckedGroup:
         return _reduce(a, -b, c, self.disc)
 
 
-def _close(group: _CheckedGroup, gens, size: int | None = None):
-    """The subgroup generated by gens, grown coset by coset.
+def _extend(index: dict, g, mul, order: int | None = None) -> None:
+    """Grow the subgroup H held in index (element -> position, identity at
+    0) by g, in place.
 
-    A generator g outside the subgroup H found so far adds the cosets
-    H*g, H*g^2, ... up to the first power of g that lies in H, so each new
-    element costs one checked product.  A coset that meets what is already
-    there means the input is not a group.  The walk stops once the
-    subgroup has size elements.  Returns the elements and the generators
-    that extended the subgroup, both in the order found.
+    Appends the cosets H*g, H*g^2, ... up to the first power of g that lies
+    in H, putting s*g^k at position k*|H| + index[s]; so after walks over
+    g_1, ..., g_n, whose orders over the span before them are o_1, ...,
+    o_n, the digits of a position in mixed radix (o_1, ..., o_n), least
+    significant first, are the coordinates of its element.  Each new
+    element costs one product.  A coset that meets what is already there
+    means the input is not a group, and so does a g whose order over H is
+    not the order given.
     """
+    old = len(index)
+    subgroup = list(index)
+    y, k = g, 1  # y = g^k
+    while index.get(y, old) >= old:  # y is not in H yet
+        # subgroup[0] is the identity, whose product with y is y
+        for x in [y] + [mul(s, y) for s in subgroup[1:]]:
+            if x in index:
+                raise RuntimeError("coset collision; input is not a group")
+            index[x] = len(index)
+        y = mul(y, g)
+        k += 1
+    if order is not None and k != order:
+        raise RuntimeError(
+            f"span collision; generator of stated order {order} has order {k} over the span"
+        )
+
+
+def _close(group: _CheckedGroup, gens, size: int | None = None):
+    """The subgroup generated by gens, grown by ``_extend`` until it has
+    size elements.  Returns its position index and the generators that
+    extended it, both in the order found."""
     index = {group.identity: 0}
-    elements = [group.identity]
     used = []
     for g in gens:
-        if len(elements) == size:
+        if len(index) == size:
             break
-        if g in index:
-            continue
-        old = len(elements)
-        y = g
-        while index.get(y, old) >= old:  # y = g^k is not in H yet
-            # elements[0] is the identity, whose product with y is y
-            for x in [y] + [group.mul(s, y) for s in elements[1:old]]:
-                if x in index:
-                    raise RuntimeError("coset collision; input is not a group")
-                index[x] = len(elements)
-                elements.append(x)
-            y = group.mul(y, g)
-        used.append(g)
-    return elements, used
+        if g not in index:
+            _extend(index, g, group.mul)
+            used.append(g)
+    return index, used
 
 
 def _sylow_set(group: _CheckedGroup, gens: list[tuple], p: int, v: int) -> list[tuple]:
@@ -216,23 +233,6 @@ def _sylow_set(group: _CheckedGroup, gens: list[tuple], p: int, v: int) -> list[
     return sorted(sylow)
 
 
-def _extend_span(span: dict, g, order: int, mul) -> dict:
-    """The span table extended by <g>, g of the given order: each s*g^k
-    (k < order) maps to the coordinates of s followed by k.  Meeting an
-    element twice means g was not independent of the span, so the input
-    was not a group."""
-    out = {}
-    for s, vec in span.items():
-        key = s  # s * g^k
-        for k in range(order):
-            if k:
-                key = mul(key, g)
-            if key in out:
-                raise RuntimeError("span collision; input is not a group")
-            out[key] = vec + (k,)
-    return out
-
-
 def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tuple, tuple]):
     """Basis of an abelian p-group given as its sorted element list and
     its p-th power map.
@@ -241,10 +241,11 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tu
     quotient (maximal coset order relative to the span so far), adjusting it
     by a p^t-th root from the span so that the new generator meets the span
     only in the identity.  Coset orders come from walking pmap, with no
-    product.  The span table doubles as a certificate: it must end up
-    covering every element exactly once.
+    product, and the coordinates of a span element are the digits of its
+    ``_extend`` position.  The span must end up covering every element
+    exactly once.
     """
-    span = {group.identity: ()}
+    span = {group.identity: 0}
     basis: list[tuple] = []
     orders: list[int] = []
     size = len(sylow)
@@ -260,10 +261,11 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tu
             if t > best_t:
                 best, best_t, best_chain = x, t, chain
         g, t = best, best_t
-        coeffs = span[best_chain[-1]]
+        pos = span[best_chain[-1]]
         # root of g^{p^t} inside the span: solve p^t * d_i = c_i mod ord_i
         adjust = group.identity
-        for b, ordb, ci in zip(basis, orders, coeffs):
+        for b, ordb in zip(basis, orders):
+            pos, ci = divmod(pos, ordb)
             if ci % min(p**t, ordb):
                 raise RuntimeError("basis adjustment failed; input is not a group")
             di = (ci // p**t) % ordb if ordb > p**t else 0
@@ -271,36 +273,27 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tu
                 adjust = group.mul(adjust, group.pow(b, di))
         if adjust != group.identity:
             g = group.mul(g, group.inverse(adjust))
-        span = _extend_span(span, g, p**t, group.mul)
+        _extend(span, g, group.mul, p**t)
         basis.append(g)
         orders.append(p**t)
     return basis, orders
 
 
 def _check_torsion(group: _CheckedGroup, pmap: dict[tuple, tuple], p: int, orders: list[int]):
-    """Independent cross-check of a Sylow basis: the multiset of orders
-    read off the p^j-torsion counts must reproduce the partition that the
-    basis found."""
-    counts = []
+    """Independent cross-check of a Sylow basis: for each j, up to the
+    first at which it is the whole Sylow set, the p^j-torsion count must be
+    the product of min(p^j, o) over the basis orders o.  These counts
+    determine the partition, so they certify the one the basis found."""
     powers = list(pmap)  # x^(p^j) for each x of the Sylow set, j = 0, 1, ...
-    j = 0
+    q = 1
     while True:
-        j += 1
+        q *= p
         powers = [pmap[x] for x in powers]
         nj = powers.count(group.identity)
-        if p ** _ilog(nj, p) != nj:
-            raise RuntimeError(f"{p}^{j}-torsion count {nj} is not a power of {p}")
-        counts.append(nj)
+        if nj != prod(min(q, o) for o in orders):
+            raise RuntimeError(f"{q}-torsion count {nj} disagrees with basis orders {orders}")
         if nj == len(pmap):
-            break
-    expo = [0] + [_ilog(c, p) for c in counts]
-    conj = [expo[i + 1] - expo[i] for i in range(len(counts))]  # parts >= j
-    partition = []
-    for length in range(1, len(conj) + 1):
-        nxt = conj[length] if length < len(conj) else 0
-        partition += [length] * (conj[length - 1] - nxt)
-    if sorted(partition) != sorted(_ilog(o, p) for o in orders):
-        raise RuntimeError("basis orders disagree with torsion counts")
+            return
 
 
 def structure_from_forms(
@@ -322,6 +315,10 @@ def structure_from_forms(
     Raises ValueError when composition leaves the input set and RuntimeError
     when the certified basis construction cannot cover the group (both mean
     the input was not the full form list of one discriminant).
+
+    >>> from quadclass.forms import enumerate_reduced
+    >>> structure_from_forms(enumerate_reduced(-11199))
+    (AbelianGroup(C5xC20), [((12,-9,235), 5), ((35,-1,80), 20)])
     """
     group = _CheckedGroup(forms)
     h = group.order
@@ -330,33 +327,23 @@ def structure_from_forms(
 
     walk = sorted(group.elements)
     _, gens = _close(group, walk, size=h)
-    per_prime: dict[int, tuple[list[tuple], list[int]]] = {}
+    ranked = []  # per prime, its (order, generator) pairs, largest order first
     for p, v in sorted(factorize(h).items()):
         sylow = walk if p**v == h else _sylow_set(group, gens, p, v)
         pmap = {x: group.pow(x, p) for x in sylow}
         basis, orders = _sylow_basis(group, sylow, p, pmap)
         _check_torsion(group, pmap, p, orders)
-        per_prime[p] = (basis, orders)
+        ranked.append(sorted(zip(orders, basis), key=lambda pair: pair[0], reverse=True))
 
-    k = max(len(orders) for _, orders in per_prime.values())
     combined: list[tuple[QuadForm, int]] = []
-    for slot in range(k):  # slot 0 holds the largest factor
+    for slot in range(max(map(len, ranked))):  # slot 0 holds the largest factor
         gen = group.identity
         order = 1
-        for p, (basis, orders) in per_prime.items():
-            idx = sorted(range(len(orders)), key=lambda i: -orders[i])
-            if slot < len(orders):
-                i = idx[slot]
-                gen = group.mul(gen, basis[i])
-                order *= orders[i]
+        for pairs in ranked:
+            if slot < len(pairs):
+                o, b = pairs[slot]
+                gen = group.mul(gen, b)
+                order *= o
         combined.append((QuadForm._make(gen), order))
     combined.reverse()  # ascending, aligned with invariant factors
     return AbelianGroup(tuple(order for _, order in combined)), combined
-
-
-def _ilog(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        n //= p
-        e += 1
-    return e

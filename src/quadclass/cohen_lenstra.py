@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import product
 from typing import Callable, Iterable
 
 import numpy as np
@@ -57,29 +57,20 @@ def enumerate_groups(n: int) -> list[AbelianGroup]:
     recombined into an invariant-factor chain."""
     if n < 1:
         raise ValueError("order must be positive")
-    if n == 1:
-        return [AbelianGroup(())]
-    per_prime = []
-    for p, v in sorted(factorize(n).items()):
-        per_prime.append([(p, part) for part in _partitions(v)])
+    per_prime = [
+        [(p, part) for part in _partitions(v)] for p, v in sorted(factorize(n).items())
+    ]
     groups = []
-
-    def build(i: int, chosen: list):
-        if i == len(per_prime):
-            depth = max(len(part) for _, part in chosen)
-            factors = []
-            for j in range(depth):
-                d = 1
-                for p, part in chosen:
-                    if j < len(part):
-                        d *= p ** part[j]
-                factors.append(d)
-            groups.append(AbelianGroup(tuple(sorted(factors))))
-            return
-        for item in per_prime[i]:
-            build(i + 1, chosen + [item])
-
-    build(0, [])
+    for chosen in product(*per_prime):  # n = 1: one empty choice, the trivial group
+        depth = max((len(part) for _, part in chosen), default=0)
+        factors = []
+        for j in range(depth):
+            d = 1
+            for p, part in chosen:
+                if j < len(part):
+                    d *= p ** part[j]
+            factors.append(d)
+        groups.append(AbelianGroup(tuple(sorted(factors))))
     groups.sort(key=lambda g: g.invariant_factors)
     return groups
 

@@ -29,7 +29,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .abelian import AbelianGroup, _extend_span, is_p_suitable
+from .abelian import AbelianGroup, _extend, is_p_suitable
 from .finitefield import FieldElement, element_of_order, make_field
 from .forms import (
     INERT,
@@ -170,18 +170,21 @@ class ClassCharacter:
 def make_character(cg: ClassGroupRecord, h: int) -> ClassCharacter:
     """The canonical order-h character: project a class onto its
     coordinate along the last invariant factor d_k (the exponent) and
-    reduce mod h.  Requires h | d_k.  The coordinates come from the span
-    walk of the certified structure, over the record's generators."""
+    reduce mod h.  Requires h | d_k.  The coordinates come from the coset
+    walk of the certified structure over the record's generators, whose
+    last one has order d_k: a class at walk position i has last coordinate
+    i // (order / d_k)."""
     structure = cg.structure
     if h < 1 or structure.exponent % h:
         raise ValueError(f"order {h} does not divide the group exponent")
     D = cg.disc
-    span = {principal_form(D): ()}
+    span = {principal_form(D): 0}
     for g, d in cg.generators:
-        span = _extend_span(span, g, d, lambda x, y: _compose(x, y, D))
+        _extend(span, g, lambda x, y: _compose(x, y, D), d)
     if len(span) != structure.order:
         raise AssertionError("character table does not cover the class group")
-    table = {f: vec[-1] % h if vec else 0 for f, vec in span.items()}
+    stride = structure.order // structure.exponent
+    table = {f: pos // stride % h for f, pos in span.items()}
     return ClassCharacter(D, h, table)
 
 

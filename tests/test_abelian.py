@@ -8,7 +8,9 @@ from quadclass import abelian
 from quadclass.abelian import (
     AbelianGroup,
     _CheckedGroup,
+    _check_torsion,
     _close,
+    _extend,
     _sylow_set,
     aut_order,
     has_cyclic_quotient,
@@ -246,6 +248,53 @@ def test_structure_matches_projection_oracle_near_one_million():
             discs.add(D)
     for D in sorted(discs, reverse=True):
         _check_against_projection(D)
+
+
+def _assert_positions_are_coordinates(index, gens, radix, D):
+    for f, i in index.items():
+        want = principal_form(D)
+        for g, o in zip(gens, radix):
+            i, digit = divmod(i, o)
+            want = compose(want, form_pow(g, digit))
+        assert want == f, (D, f)
+
+
+@pytest.mark.parametrize("D", [-4027, -11199, -303743])
+def test_walk_positions_are_coordinates(D):
+    # the element at walk position i is prod g_j^digit_j(i), digits in mixed
+    # radix over the generator orders: for the closure of the sorted forms
+    # (orders over the span found by the walk) and for the record's
+    # generators (orders stated)
+    forms = enumerate_reduced(D)
+    group = _CheckedGroup(forms)
+    index = {group.identity: 0}
+    gens, radix = [], []
+    for g in sorted(group.elements):
+        if g not in index:
+            before = len(index)
+            _extend(index, g, group.mul)
+            gens.append(g)
+            radix.append(len(index) // before)
+    assert len(index) == len(forms)
+    _assert_positions_are_coordinates(index, gens, radix, D)
+
+    rec = class_group(D)
+    index = {group.identity: 0}
+    for g, d in rec.generators:
+        _extend(index, g, group.mul, d)
+    assert len(index) == len(forms)
+    _assert_positions_are_coordinates(index, *zip(*rec.generators), D)
+
+
+def test_torsion_check_refuses_wrong_orders():
+    # the 3-torsion of C3 x C3 is the whole group, not the 3 elements a
+    # single order-9 basis element would give
+    forms = enumerate_reduced(-4027)
+    group = _CheckedGroup(forms)
+    pmap = {x: group.pow(x, 3) for x in group.elements}
+    _check_torsion(group, pmap, 3, [3, 3])
+    with pytest.raises(RuntimeError, match="torsion count 9"):
+        _check_torsion(group, pmap, 3, [9])
 
 
 # C3xC3, C3xC9, C5xC20, C2xC324 (h = 648) and C4xC128 (h = 512)

@@ -136,6 +136,19 @@ def test_landau_samples(capsys):
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
+def test_consecutive_calls_share_no_state(capsys):
+    # main reuses one parser: append flags and defaults must not carry over
+    assert _run(capsys, "suitable", "--disc", "-47", "--p", "2").splitlines()[1:] == [
+        "-47,5,2,1,5"
+    ]
+    assert _run(capsys, "suitable", "--disc", "-23", "--p", "3").splitlines()[1:] == [
+        "-23,3,3,0,"
+    ]
+    landau = ["landau", "--bound", "100", "--modulus", "4"]
+    assert _run(capsys, *landau, "--residues", "1").splitlines()[1:] == ["100,15"]
+    assert _run(capsys, *landau).splitlines()[1:] == ["100,1"]  # only n = 1
+
+
 def test_json_is_faithful_reencoding(capsys):
     csv_out = _run(capsys, "classgroup", "--disc", "-47", "--disc", "-4027")
     json_out = _run(
@@ -178,11 +191,12 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     out = {}
     for workers in ("1", "2"):
         # an empty table, so that each run sweeps with its own worker count
-        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int64))
+        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
         out[workers] = tmp_path / f"w{workers}.csv"
         argv = ["--workers", workers, "--output", str(out[workers]), "census"]
         assert main(argv + ["--max-abs-disc", "3000", "--orders", "2,4"]) == 0
         assert sweep._store.size == 3001
+        assert sweep._store.dtype == np.int32
     assert out["1"].read_bytes() == out["2"].read_bytes()
 
 

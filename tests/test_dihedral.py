@@ -126,6 +126,16 @@ def test_make_character_rejects_dependent_generators():
         make_character(cg, 3)
 
 
+def test_make_character_rejects_understated_order():
+    # Cl(-11199) is C5 x C20; a record that calls the order-20 generator
+    # order 10 leaves its tenth power outside the span
+    cg = class_group(-11199)
+    (g1, d1), (g2, _) = cg.generators
+    cg.generators = [(g1, d1), (g2, 10)]
+    with pytest.raises(RuntimeError, match="span collision"):
+        make_character(cg, 5)
+
+
 def test_make_character_rejects_bad_order():
     cg = class_group(-4027)  # exponent 3
     with pytest.raises(ValueError):

@@ -71,8 +71,9 @@ def test_worker_partition_invariance():
 
 
 def test_batch_table_fundamental_only(monkeypatch):
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int64))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
     discs, hs = batch_class_numbers(500)
+    assert sweep._store.dtype == np.int32
     assert np.all(discs[:-1] < discs[1:])
     counts = sweep_counts(500)
     for d, h in zip(discs, hs):

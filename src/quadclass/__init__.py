@@ -6,8 +6,10 @@ Subpackage map:
 - forms: binary quadratic forms, composition, class groups
 - sweep: bulk class-number computation (one numpy kernel, one shared table)
 - abelian: structure of finite abelian groups, suitability tests
-- finitefield: small prime-power fields, dihedral trace sets
-- dihedral: class characters and eigenform coefficients
+- dihedral: class characters, eigenform coefficients and the degrees
+  of their reductions mod p, read off the exponents
+- finitefield: prime-power fields and dihedral trace sets, kept as the
+  tests' oracle for those reductions; no command-line path imports it
 - density: integer-set densities and the experiments built on them
 - cohen_lenstra: automorphism weights and moment comparisons
 - cli: the `quadclass` command line tool

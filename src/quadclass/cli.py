@@ -23,10 +23,10 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from . import cohen_lenstra, density, dihedral, finitefield
+from . import cohen_lenstra, density, dihedral
 from .abelian import AbelianGroup, is_p_suitable
 from .forms import ClassGroupCache, class_group
-from .ntheory import is_prime
+from .ntheory import is_prime, multiplicative_order
 from .sweep import ResourceLimitError, batch_class_numbers
 
 #: Environment variable naming the class-group cache when --cache-path
@@ -140,8 +140,9 @@ def _cmd_traces(args) -> int:
         for p in args.p:
             if math.gcd(h, p) != 1:
                 continue
-            ts = finitefield.dihedral_trace_set(h, p)
-            rows.append([h, p, ts.ctx.m, finitefield.trace_field_degree(ts)])
+            # zeta + 1/zeta generates every trace zeta^k + zeta^-k (and 0, 2)
+            t = dihedral.reduce_coefficient(dihedral.SplitCoefficient(1, h), p)
+            rows.append([h, p, multiplicative_order(p, h), t.field_degree()])
     rows.sort(key=lambda r: (r[0], r[1]))
     return _emit(["h", "p", "m", "trace_field_degree"], rows, args)
 

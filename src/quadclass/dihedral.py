@@ -14,23 +14,27 @@ euler_expansion multiplies out Euler factors seeded by eigen_coeff.
 Their agreement is an end-to-end check of the whole chain from form
 composition through character values.
 
-Reduction mod p sends zeta_h to an order-h element of F_{p^m}; a
-witness prime is an ell whose reduced coefficient falls outside F_p.
-Coefficients are exact throughout: cyclotomic integers are coefficient
-vectors reduced modulo the h-th cyclotomic polynomial (canonical, so
-equality is tuple equality), never floats.
+Reduction mod p, for p not dividing h, sends zeta_h to a root of unity
+of order h in F_{p^m}, m the order of p mod h, on which Frobenius acts
+by z -> z^p (Washington, Introduction to Cyclotomic Fields, ch. 2).  So
+the degree over F_p of a reduced coefficient zeta_h^e + zeta_h^-e is
+read off (e, h, p); no irreducible modulus or root of unity in F_{p^m}
+is ever built.  A witness prime is an ell whose reduced
+coefficient falls outside F_p.  Coefficients are exact throughout:
+cyclotomic integers are coefficient vectors reduced modulo the h-th
+cyclotomic polynomial (canonical, so equality is tuple equality), never
+floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .abelian import AbelianGroup, _extend, is_p_suitable
-from .finitefield import FieldElement, element_of_order, make_field
 from .forms import (
     INERT,
     ClassGroupRecord,
@@ -42,37 +46,60 @@ from .forms import (
     principal_form,
 )
 from .ntheory import (
-    divisors,
     factorize,
     kronecker,
     multiplicative_order,
     prime_to_p_part,
     primes_up_to,
+    totient,
 )
 
 # ---------------------------------------------------------------- cyclotomic
 
 
+def _moebius_product(h: int) -> np.ndarray:
+    """Phi_h = prod over d | h of (x^d - 1)^mu(h/d): exact little-endian
+    coefficients, as Python ints.
+
+    Only d = h/r with r squarefree count.  They are taken with r's
+    primes counted up in binary, so that after the first 2^j the product
+    is Phi_r(x^(h/r)) for r the product of the first j primes: a
+    polynomial again, and the entries stay small.  The result is a
+    polynomial, so the product runs as a power series cut past its
+    degree: 1 - x^d subtracts a copy shifted by d, and
+    1/(1 - x^d) = 1 + x^d + x^2d + ... is a running sum down each
+    residue class mod d.  (x^d - 1)^k is (1 - x^d)^k times (-1)^k.
+    """
+    primes = list(factorize(h))
+    deg = totient(h)
+    series = np.zeros(deg + 1, dtype=object)
+    series[0] = 1
+    flips = 0
+    for mask in range(1 << len(primes)):
+        r = prod(q for i, q in enumerate(primes) if mask >> i & 1)
+        k = (-1) ** mask.bit_count()
+        flips += k
+        d = h // r
+        if d > deg:
+            continue
+        if k > 0:
+            series[d:] -= series[:-d]
+        else:
+            rows = -(-(deg + 1) // d)
+            grid = np.zeros(rows * d, dtype=object)
+            grid[: deg + 1] = series
+            series = grid.reshape(rows, d).cumsum(axis=0).ravel()[: deg + 1]
+    return -series if flips % 2 else series
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(h: int) -> tuple[int, ...]:
-    """Coefficients of Phi_h, little-endian.  Phi_1 = x - 1; higher ones
-    by exact integer division of x^h - 1 by all lower Phi_d, d | h."""
-    num = [-1] + [0] * (h - 1) + [1]  # x^h - 1
-    for d in divisors(h)[:-1]:
-        den = cyclotomic_polynomial(d)
-        # synthetic exact division, num becomes the quotient
-        out = [0] * (len(num) - len(den) + 1)
-        rem = list(num)
-        for j in range(len(out) - 1, -1, -1):
-            q = rem[j + len(den) - 1]
-            out[j] = q
-            if q:
-                for i, c in enumerate(den):
-                    rem[j + i] -= q * c
-        if any(rem[: len(den) - 1]):
-            raise AssertionError("cyclotomic division left a remainder")
-        num = out
-    return tuple(num)
+    """Coefficients of Phi_h, little-endian, from one Moebius product.
+
+    >>> cyclotomic_polynomial(6)
+    (1, -1, 1)
+    """
+    return tuple(int(c) for c in _moebius_product(h))
 
 
 def _phi_reduce(vec: np.ndarray, h: int) -> tuple[int, ...]:
@@ -316,27 +343,44 @@ def euler_expansion(chi: ClassCharacter, nmax: int) -> list[Cyclotomic]:
 # ------------------------------------------------------------- reduction mod p
 
 
-def reduce_coefficient(c: EigenCoefficient, p: int) -> FieldElement:
-    """The coefficient reduced modulo a prime above p: zeta_h becomes an
-    order-h element of F_{p^m}, m the order of p mod h."""
-    if isinstance(c, InertCoefficient):
-        return make_field(p, 1).zero()
-    if isinstance(c, RamifiedCoefficient):
-        return make_field(p, 1).scalar(c.sign)
-    h = c.order
-    if gcd(h, p) != 1:
-        raise ValueError(f"character order {h} not coprime to p = {p}")
-    m = multiplicative_order(p, h) if h > 1 else 1
-    x = element_of_order(make_field(p, m), h)
-    e = c.exponent % h
-    return x**e + x ** ((h - e) % h)
+@dataclass(frozen=True)
+class CyclotomicResidue:
+    """z + 1/z modulo a prime above p, for z = zeta_h^e; an integer
+    coefficient (inert 0, ramified +-1) is held as h = 1, e = 0.
+
+    p does not divide h, so z reduces to a root of unity of order
+    o = h / gcd(e, h), and Frobenius^s sends it to z^(p^s).  In a field
+    z^q + z^-q - z - z^-1 = z^-q (z^q - z)(z^q - z^-1), so Frobenius^s
+    fixes the residue exactly when p^s = +-1 mod o: the degree is read
+    off (e, h, p), and no field or modulus is ever built."""
+
+    h: int
+    p: int
+    exponent: int
+
+    def field_degree(self) -> int:
+        """Degree over F_p of the field the residue generates: the least
+        s with p^s = +-1 mod o.  That is m = ord_o(p), halved when
+        p^(m/2) = -1, the one element of order 2 the cyclic group <p>
+        can hold."""
+        o = self.h // gcd(self.exponent, self.h)
+        m = multiplicative_order(self.p, o)
+        return m // 2 if m % 2 == 0 and pow(self.p, m // 2, o) == o - 1 else m
+
+
+def reduce_coefficient(c: EigenCoefficient, p: int) -> CyclotomicResidue:
+    """The coefficient reduced modulo a prime above p: zeta_h^e + zeta_h^-e,
+    or an integer (h = 1)."""
+    if not isinstance(c, SplitCoefficient):
+        return CyclotomicResidue(1, p, 0)
+    if gcd(c.order, p) != 1:
+        raise ValueError(f"character order {c.order} not coprime to p = {p}")
+    return CyclotomicResidue(c.order, p, c.exponent)
 
 
 def coeff_in_prime_field(c: EigenCoefficient, p: int) -> bool:
     """Whether the mod-p reduction of the coefficient lies in F_p."""
-    if not isinstance(c, SplitCoefficient):
-        return True
-    return reduce_coefficient(c, p).in_subfield(1)
+    return reduce_coefficient(c, p).field_degree() == 1
 
 
 def witness_order(structure: AbelianGroup, p: int) -> int:

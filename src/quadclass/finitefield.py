@@ -1,4 +1,12 @@
-"""Arithmetic in F_{p^m} and the dihedral trace sets living inside it.
+"""Arithmetic in F_{p^m} and the dihedral trace sets living inside it:
+the oracle for the mod-p reductions of quadclass.dihedral.
+
+No command-line path imports this module.  dihedral reads the degree
+of a reduced coefficient off its exponent, which needs no irreducible
+modulus, no Frobenius matrix and no root search; the tests check it
+against the field search here, and the benchmark's tracer still wraps
+make_field, element_of_order, dihedral_trace_set and trace_field_degree
+by name.
 
 The interesting objects here are small: an element x of multiplicative
 order h in the field F_{p^m} where m is the order of p mod h, the

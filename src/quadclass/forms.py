@@ -192,8 +192,15 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     return QuadForm._make(power(_reduce(*f, D), n, lambda x, y: _compose(x, y, D)))
 
 
+# Largest |D| enumerate_reduced (so class_group) takes.  class_group
+# took 1.0 s at |D| ~ 1e8, 1.9 s at 1e9 and 9.5 s at 1e10 (2-vCPU
+# x86-64 host); b^2 + |D| <= 4|D|/3 stays far inside int64.
+MAX_ENUMERATED_DISC = 10**10
+
+
 def enumerate_reduced(D) -> list[QuadForm]:
-    """All primitive reduced forms of discriminant D, ordered by (a, b).
+    """All primitive reduced forms of discriminant D, ordered by (a, b),
+    for |D| up to MAX_ENUMERATED_DISC.
 
     A reduced form has |b| <= a <= c, so a <= sqrt(|D|/3).  The (a, b)
     pairs with 0 <= b <= a and b = D mod 2 are tested as one numpy grid,
@@ -207,6 +214,10 @@ def enumerate_reduced(D) -> list[QuadForm]:
     """
     D = _disc_value(D)
     absD = -D
+    if absD > MAX_ENUMERATED_DISC:
+        from .sweep import check_budget  # sweep imports this module
+
+        check_budget("|D|", absD, MAX_ENUMERATED_DISC, "reduced-form")
     parity = absD & 1
     top = isqrt(absD // 3)
     found = []

@@ -136,6 +136,18 @@ def divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+def totient(n: int) -> int:
+    """Euler's phi(n), from the prime factors of n >= 1.
+
+    >>> totient(12)
+    4
+    """
+    phi = n
+    for p in factorize(n):
+        phi = phi // p * (p - 1)
+    return phi
+
+
 def power(x, n: int, mul):
     """x^n for n >= 1 under the associative product mul, by right-to-left
     binary powering: n.bit_length() + popcount(n) - 2 products.
@@ -254,9 +266,7 @@ def multiplicative_order(a: int, n: int) -> int:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
-    order = n
-    for q in factorize(n):
-        order = order // q * (q - 1)
+    order = totient(n)
     for q, e in factorize(order).items():
         for _ in range(e):
             if pow(a, order // q, n) != 1:

@@ -2,12 +2,18 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
 
+import quadclass
 from quadclass import forms, sweep
 from quadclass.cli import build_parser, main
+from quadclass.ntheory import factorize
 
 
 def _run(capsys, *argv) -> str:
@@ -63,6 +69,26 @@ def test_traces_skips_non_coprime_orders(capsys):
     assert [r["h"] for r in _rows(out)] == ["5"]
 
 
+def _least_exponent(p: int, h: int, s: int, targets: set[int]) -> bool:
+    """Whether s is the least exponent with p^s mod h in targets, a
+    subgroup of (Z/h)^*, so that the exponents that hit it are the
+    multiples of the least one."""
+    return pow(p, s, h) in targets and not any(pow(p, s // q, h) in targets for q in factorize(s))
+
+
+def _law_degree(h: int, p: int, degree: int) -> bool:
+    """Whether degree is the least s with p^s = +-1 mod h: the degree
+    over F_p of z^e + z^-e for z of order h and e prime to h."""
+    return _least_exponent(p, h, degree, {1 % h, -1 % h})
+
+
+def _law_row(row: str) -> bool:
+    """Whether a traces row h,p,m,degree has m = ord_h(p) and the
+    degree of the law."""
+    h, p, m, degree = map(int, row.split(","))
+    return _least_exponent(p, h, m, {1 % h}) and _law_degree(h, p, degree)
+
+
 def test_large_prime_rows(capsys):
     # m is the order of p mod h, and p = +-1 mod h puts every trace and
     # every coefficient in F_p: 101 = 1 and 1009 = -1 mod 5
@@ -73,6 +99,34 @@ def test_large_prime_rows(capsys):
     # a prime past trial-division reach: 2^61 - 1 = 1 mod 5
     out = _run(capsys, "suitable", "--disc", "-47", "--p", str(2**61 - 1))
     assert out.strip().splitlines()[1] == f"-47,5,{2**61 - 1},0,"
+    # rows the field route refused, checked against the integer law:
+    # primes with m(p-1)^2 >= 2^53, degrees m past 512, h = 100000007
+    # (m = 50000003) and h = 2*3*...*23
+    for h, p in ((5, 2147483647), (2, 94906297), (1523, 2), (100000007, 2), (223092870, 29)):
+        (row,) = _run(capsys, "traces", "--orders", str(h), "--p", str(p)).splitlines()[1:]
+        assert row.startswith(f"{h},{p},") and _law_row(row), row
+    # a_2 = z^e + z^-e with z of prime order h, so its degree is the law's
+    out = _run(capsys, "witness", "--disc", "-47", "--p", "2147483647", "--bound", "100")
+    assert out.splitlines()[1] == "-47,5,2147483647,2,2"
+    assert _law_degree(5, 2147483647, 2)
+    out = _run(capsys, "witness", "--disc", "-1000151", "--p", "2", "--p", "3")
+    assert out.splitlines()[1:] == ["-1000151,1523,2,2,761", "-1000151,1523,3,2,761"]
+    assert _law_degree(1523, 2, 761) and _law_degree(1523, 3, 761)
+
+
+def test_cli_never_imports_the_field_search():
+    # finitefield is the tests' oracle: no subcommand may load it
+    code = (
+        "import sys\n"
+        "from quadclass.cli import main\n"
+        "main(['witness', '--disc', '-47', '--p', '2', '--bound', '100'])\n"
+        "main(['traces', '--orders', '9,5', '--p', '2'])\n"
+        "print('quadclass.finitefield' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadclass.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
 
 
 def test_exp3scan_rows(capsys):
@@ -292,6 +346,17 @@ def test_budget_error_exit_code(capsys):
     assert "error" in err and "budget" in err
 
 
+# |D| past the reduced-form budget, first past int64 too
+DISC_CAP_REFUSALS = [
+    ["classgroup", "--disc", "-10000000000000000000"],
+    ["suitable", "--disc", "-10000000000000000000", "--p", "2"],
+    ["witness", "--disc", "-10000000000000000000", "--p", "3"],
+    ["classgroup", "--disc", "-1000000000000"],
+    ["suitable", "--disc", "-1000000000000", "--p", "2"],
+    ["witness", "--disc", "-1000000000000", "--p", "2"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -309,9 +374,7 @@ def test_budget_error_exit_code(capsys):
         ["--workers", "0", "census", "--max-abs-disc", "50", "--orders", "1"],
         ["--workers", "-3", "census", "--max-abs-disc", "50", "--orders", "1"],
         ["clweights", "--skip-primes", "2", "--bounds", "-5"],
-        ["traces", "--orders", "5", "--p", "2147483647"],
-        ["traces", "--orders", "2", "--p", "94906297"],
-        ["witness", "--disc", "-47", "--p", "2147483647", "--bound", "100"],
+        *DISC_CAP_REFUSALS[:3],
         ["density", "--p", "2", "--p", "3", "--bounds", "1000"],
         ["census", "--max-abs-disc", "100", "--orders", "0,-1"],
         ["traces", "--orders", "0", "--p", "3"],
@@ -321,12 +384,7 @@ def test_budget_error_exit_code(capsys):
         # psi_13, where deterministic Miller-Rabin on bases 2..41 ends
         ["suitable", "--disc", "-47", "--p", "3317044064679887385961981"],
         ["clweights", "--skip-primes", "3317044064679887385961981", "--bounds", "10"],
-        # h = 1523 needs F_{2^1522}, past the degree cap of 512
-        ["traces", "--orders", "1523", "--p", "2"],
-        ["witness", "--disc", "-1000151", "--p", "2", "--bound", "1000"],
-        # 2 has order 50000003 mod 100000007, read off the factorization
-        # of phi(h) in well under a second
-        ["traces", "--orders", "100000007", "--p", "2"],
+        *DISC_CAP_REFUSALS[3:],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
@@ -334,6 +392,14 @@ def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("quadclass: error: ")
+
+
+@pytest.mark.parametrize("argv", DISC_CAP_REFUSALS)
+def test_disc_cap_refuses_before_the_work_starts(capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 1.0
+    assert "reduced-form budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,16 @@ from quadclass.finitefield import (
     trace_field_degree,
     traces_all_in_subfield,
 )
-from quadclass.ntheory import divisors, multiplicative_order
+from quadclass.dihedral import (
+    NOT_FOUND_UP_TO_BOUND,
+    SplitCoefficient,
+    find_witness,
+    make_character,
+    reduce_coefficient,
+    witness_order,
+)
+from quadclass.forms import QuadForm, class_group, fundamental_mask, prime_form
+from quadclass.ntheory import divisors, multiplicative_order, primes_up_to
 
 FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2), (5, 3)]
 
@@ -223,6 +232,9 @@ ROOTS_DIGEST = "e08894d492dc4810b73e1b05dbd785382d5eaf4e5591c1be43e1c3c57746aab2
 
 
 def test_moduli_and_roots_pinned():
+    # the field route is the oracle of the exponent rule: the degree of
+    # the whole trace set in F_{p^m} is that of zeta + 1/zeta as
+    # dihedral reads it, which the CLI's traces rows print
     digest = hashlib.sha256()
     for p in (2, 3, 5, 7):
         for h in range(1, 201):
@@ -232,7 +244,46 @@ def test_moduli_and_roots_pinned():
             ctx = make_field(p, m)
             z = element_of_order(ctx, h)
             digest.update(repr((p, h, m, ctx.modulus, z.coeffs)).encode())
+            rule = reduce_coefficient(SplitCoefficient(1, h), p).field_degree()
+            assert trace_field_degree(dihedral_trace_set(h, p)) == rule, (h, p)
     assert digest.hexdigest() == ROOTS_DIGEST
+
+
+def test_witnesses_match_the_field_route():
+    # every fundamental |D| < 5000 and p in {2, 3, 5} at bound 1000: the
+    # exponent rule's witness and degree are those of z^e + z^-e in
+    # F_{p^m}, z from element_of_order and e the character's value at the
+    # prime form of a split ell (inert and ramified coefficients lie in F_p)
+    field_degree = {}  # (h, p, e) -> degree over F_p
+
+    def by_field(h, p, e):
+        if (h, p, e) not in field_degree:
+            x = element_of_order(make_field(p, multiplicative_order(p, h)), h)
+            field_degree[h, p, e] = (x**e + x ** ((h - e) % h)).field_degree()
+        return field_degree[h, p, e]
+
+    pairs = 0
+    for d in map(int, np.flatnonzero(fundamental_mask(5000))):
+        cg = class_group(-d)
+        split = [
+            (ell, f)
+            for ell in map(int, primes_up_to(1000))
+            if isinstance(f := prime_form(-d, ell), QuadForm)
+        ]
+        for p in (2, 3, 5):
+            pairs += 1
+            chi = make_character(cg, witness_order(cg.structure, p))
+            want = next(
+                ((ell, deg) for ell, f in split if (deg := by_field(chi.h, p, chi.log(f))) > 1),
+                None,
+            )
+            got = find_witness(cg, p, 1000)
+            if got is NOT_FOUND_UP_TO_BOUND:
+                assert want is None, (-d, p)
+            else:
+                ell, coeff = got
+                assert (ell, reduce_coefficient(coeff, p).field_degree()) == want, (-d, p)
+    assert pairs == 4572
 
 
 def test_field_size_refused_past_exact_range():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quadclass.forms import (
+    MAX_ENUMERATED_DISC,
     ClassGroupCache,
     Inert,
     QuadForm,
@@ -26,6 +27,7 @@ from quadclass.forms import (
     reduce_form,
 )
 from quadclass.ntheory import is_squarefree
+from quadclass.sweep import ResourceLimitError
 
 from _oracles import class_number_by_box_scan, enumerate_reduced_per_a, prime_form_by_least_b
 
@@ -81,6 +83,16 @@ def test_enumerate_reduced_matches_per_a_loop_large():
     assert sum(D < -2 * 10**5 for D in discs) >= 30
     for D in discs:
         assert enumerate_reduced(D) == enumerate_reduced_per_a(D), D
+
+
+def test_enumerate_reduced_refuses_past_cap():
+    # refused before any array is built: past 2^63 numpy int64 would
+    # overflow, and at 1e12 the enumeration would run for minutes
+    for D in (-(MAX_ENUMERATED_DISC + 3), -10**12, -10**19):
+        with pytest.raises(ResourceLimitError, match="reduced-form budget"):
+            enumerate_reduced(D)
+        with pytest.raises(ResourceLimitError):
+            class_group(D)
 
 
 @pytest.mark.parametrize("abc", [(0, 1, 1), (1, 1, -1), (-2, 1, -3), (1, 2, 1)])

@@ -7,33 +7,45 @@ does not divide p^2 - 1.  That law is written once, in ``_within_bound``,
 and the order screen of ``density`` uses it too.
 
 Structure from forms composes the ``QuadForm`` tuples through the private
-kernel of ``forms``, which validates nothing inside the loops.  It costs
-O(h) checked products plus one p-th power per element of each Sylow
-p-subgroup (after Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt,
-Math. Comp. 74, 2005).  Every group table is built by one coset walk,
-``_extend``, which stores each element at a position whose mixed-radix
-digits over the generator orders are its coordinates:
+kernel of ``forms``, which validates nothing inside the loops, and costs
+one checked product per class plus one per combined generator (after
+Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt, Math. Comp. 74, 2005):
 
-- the sorted forms are walked once, growing the subgroup they generate
-  coset by coset until it has h elements; the forms that extended it are
-  a generating set;
-- for each p^v || h those generators, raised to h/p^v, are closed coset by
-  coset into the Sylow p-subgroup, which must have exactly p^v elements;
-- one p-th power map per Sylow set serves both the basis walk, which reads
-  span coordinates off walk positions, and the torsion-count cross-check;
-- ``dihedral.make_character`` walks the record's generators the same way
-  and reads a character off the last coordinate.
+- one walk: the sorted forms are walked once by the coset walk
+  ``_extend``, growing the subgroup they generate coset by coset until it
+  has h elements.  Each class sits at a position whose mixed-radix digits
+  over the generator orders o_i are its coordinates, and each generator's
+  walk stops on a relation, g_i^(o_i) = the class at an earlier position;
+- Smith coordinates: those relations are the rows of a lower-triangular
+  matrix of determinant h.  Its Smith normal form diag(d) = U R V
+  (Cohen, *A Course in Computational Algebraic Number Theory*,
+  Alg. 2.4.14) maps every position at once to y = digits V mod d, in which
+  the group is Z/d_1 + ... + Z/d_k;
+- for each p^v || h the Sylow p-subgroup is the positions whose every y_j
+  is a multiple of the prime-to-p part of d_j.  Its members are coded in
+  mixed radix over the p-parts of d, where the group law adds digits with
+  no carries, so its basis, and the p-th power map that the basis and the
+  torsion-count cross-check read, cost no form product;
+- only the generators, one per invariant factor, are composed from the
+  Sylow basis elements as forms again.
+
+``dihedral.make_character`` walks the record's generators with the same
+``_extend`` and reads a character off the last coordinate.
 
 Every certificate is kept: each product must land in the input set, the
-walks must reach their sizes without a coset collision, each basis element
+walk must reach h elements without a coset collision, each basis element
 must return to the span after exactly its order, the basis span must cover
-the Sylow set, and each p^j-torsion count must match the basis orders.
+the Sylow set, each p^j-torsion count must match the basis orders, and the
+invariant factors the Sylow bases assemble must be the Smith form's d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from math import prod
+
+import numpy as np
 
 from .forms import QuadForm, _compose, _reduce, principal_form
 from .ntheory import divisors, factorize, power, prime_to_p_part
@@ -177,9 +189,42 @@ class _CheckedGroup:
         return _reduce(a, -b, c, self.disc)
 
 
-def _extend(index: dict, g, mul, order: int | None = None) -> None:
+class _DigitGroup:
+    """Z/q_1 + ... + Z/q_k on int codes: the digits of a code in mixed
+    radix over (q_1, ..., q_k), least significant first, are its
+    components, so the law adds digits with no carries.  A Sylow set in
+    Smith coordinates is one of these, and its basis walk composes no
+    forms."""
+
+    identity = 0
+
+    def __init__(self, radix: list[int]):
+        self.radix = radix
+
+    def _combine(self, x: int, y: int, m: int) -> int:
+        """The code of x + m * y, digit by digit."""
+        out, stride = 0, 1
+        for q in self.radix:
+            x, a = divmod(x, q)
+            y, b = divmod(y, q)
+            out += (a + m * b) % q * stride
+            stride *= q
+        return out
+
+    def mul(self, x: int, y: int) -> int:
+        return self._combine(x, y, 1)
+
+    def pow(self, x: int, n: int) -> int:
+        return self._combine(0, x, n)
+
+    def inverse(self, x: int) -> int:
+        return self._combine(0, x, -1)
+
+
+def _extend(index: dict, g, mul, order: int | None = None) -> tuple[int, int]:
     """Grow the subgroup H held in index (element -> position, identity at
-    0) by g, in place.
+    0) by g, in place, and return the relation that closes the walk:
+    (o, r) with g^o the element at position r < |H|.
 
     Appends the cosets H*g, H*g^2, ... up to the first power of g that lies
     in H, putting s*g^k at position k*|H| + index[s]; so after walks over
@@ -205,48 +250,156 @@ def _extend(index: dict, g, mul, order: int | None = None) -> None:
         raise RuntimeError(
             f"span collision; generator of stated order {order} has order {k} over the span"
         )
+    return k, index[y]
 
 
 def _close(group: _CheckedGroup, gens, size: int | None = None):
     """The subgroup generated by gens, grown by ``_extend`` until it has
-    size elements.  Returns its position index and the generators that
-    extended it, both in the order found."""
+    size elements.  Returns its position index and the relation (o, r)
+    of each generator that extended it, in the order found."""
     index = {group.identity: 0}
-    used = []
+    relations = []
     for g in gens:
         if len(index) == size:
             break
         if g not in index:
-            _extend(index, g, group.mul)
-            used.append(g)
-    return index, used
+            relations.append(_extend(index, g, group.mul))
+    return index, relations
 
 
-def _sylow_set(group: _CheckedGroup, gens: list[tuple], p: int, v: int) -> list[tuple]:
-    """The Sylow p-subgroup of order p^v, sorted: the closure of the
-    generators raised to the cofactor h/p^v, which must have exactly p^v
-    elements."""
-    cof = group.order // p**v
-    sylow, _ = _close(group, [group.pow(g, cof) for g in gens])
-    if len(sylow) != p**v:
-        raise ValueError(f"{p}-part has {len(sylow)} elements, expected {p**v}")
-    return sorted(sylow)
+def _smith_form(rel: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form of a nonsingular square integer matrix R: the
+    divisor chain d_1 | ... | d_n (all positive) and a unimodular V with
+    U R V = diag(d) for some unimodular U (Cohen, Alg. 2.4.14).  Row
+    operations go into U, which is not kept; column operations go into V.
+
+    Read as relations among n generators, the rows of R span the kernel of
+    Z^n -> G, and x -> x V mod d is then an isomorphism from G onto
+    Z/d_1 + ... + Z/d_n.
+
+    With g^2 = 1 and k^4 = g, G is cyclic of order 8, and the last column
+    of V sends g to 4 and k to 1 in Z/8:
+
+    >>> _smith_form([[2, 0], [-1, 4]])
+    ([1, 8], [[-1, 4], [0, 1]])
+    """
+    n = len(rel)
+    a = [list(row) for row in rel]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def column_op(j: int, k: int, q: int) -> None:  # column j -= q * column k
+        for m in (a, v):
+            for row in m:
+                row[j] -= q * row[k]
+
+    for t in range(n):
+        while True:
+            # the smallest entry of the trailing block becomes the pivot
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(t, n) for j in range(t, n) if a[i][j])
+            a[t], a[i] = a[i], a[t]
+            for m in (a, v):
+                for row in m:
+                    row[t], row[j] = row[j], row[t]
+            pivot = a[t][t]
+            for i in range(t + 1, n):
+                q = a[i][t] // pivot
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                column_op(j, t, a[t][j] // pivot)
+            if any(a[i][t] for i in range(t + 1, n)) or any(a[t][j] for j in range(t + 1, n)):
+                continue  # a remainder smaller than the pivot is left
+            # the pivot must divide the trailing block, or a row is folded in
+            bad = next(
+                (i for i in range(t + 1, n) if any(x % pivot for x in a[i][t + 1 :])), None
+            )
+            if bad is None:
+                break
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
+        if a[t][t] < 0:
+            column_op(t, t, 2)  # negate column t
+    return [a[t][t] for t in range(n)], v
 
 
-def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tuple, tuple]):
-    """Basis of an abelian p-group given as its sorted element list and
-    its p-th power map.
+def _relation_matrix(relations: list[tuple[int, int]]) -> list[list[int]]:
+    """The lower-triangular relation matrix of a walk, one row per
+    generator: with (o_i, r_i) as ``_extend`` returns them, g_i^(o_i) is
+    the element at position r_i, whose digits r_ij in mixed radix over
+    o_1, ..., o_(i-1) make the row o_i e_i - sum_j r_ij e_j.  Its
+    determinant is the walk's size, prod(o_i)."""
+    orders = [o for o, _ in relations]
+    rel = []
+    for i, (o, r) in enumerate(relations):
+        row = [0] * len(orders)
+        for j in range(i):
+            r, digit = divmod(r, orders[j])
+            row[j] = -digit
+        row[i] = o
+        rel.append(row)
+    return rel
 
-    Repeatedly splits off a generator of maximal order in the current
-    quotient (maximal coset order relative to the span so far), adjusting it
-    by a p^t-th root from the span so that the new generator meets the span
-    only in the identity.  Coset orders come from walking pmap, with no
-    product, and the coordinates of a span element are the digits of its
-    ``_extend`` position.  The span must end up covering every element
-    exactly once.
+
+def _smith_coordinates(relations: list[tuple[int, int]], positions) -> tuple[np.ndarray, list[int]]:
+    """Smith coordinates of walk positions, and the Smith factors d_j > 1
+    they are taken modulo, ascending.
+
+    relations holds the (o_i, r_i) of each generator of a walk of h
+    elements, as ``_extend`` returns them.  With the Smith form
+    diag(d) = U R V of their ``_relation_matrix`` R, each position, as
+    digits over (o_1, ..., o_n), maps to y = digits V mod d, one row of
+    the result, all positions in one int64 product.  Column j of V is
+    reduced mod d_j first, so every entry of the product is below n h^2,
+    far inside int64 for any h of |D| <= MAX_ENUMERATED_DISC.
+    """
+    orders = [o for o, _ in relations]
+    n = len(orders)
+    d, v = _smith_form(_relation_matrix(relations))
+    keep = [j for j in range(n) if d[j] > 1]
+    v = np.array([[v[i][j] % d[j] for j in keep] for i in range(n)], dtype=np.int64)
+    pos = np.asarray(positions, dtype=np.int64)
+    digits = np.empty((len(pos), n), dtype=np.int64)
+    for i, o in enumerate(orders):
+        pos, digits[:, i] = np.divmod(pos, o)
+    d = [d[j] for j in keep]
+    return digits @ v.reshape(n, len(d)) % np.array(d, dtype=np.int64), d
+
+
+def _sylow_codes(y: np.ndarray, d: list[int], p: int):
+    """The Sylow p-subgroup in the Smith coordinates y over d: the rows
+    whose every y_j is a multiple of c_j, the prime-to-p part of d_j,
+    ascending.  Returns those rows, their codes (digits y_j / c_j in mixed
+    radix over the p-parts q_j = d_j / c_j > 1), the p-th power map on the
+    codes, and that radix."""
+    c = np.array([prime_to_p_part(dj, p) for dj in d], dtype=np.int64)
+    rows = np.flatnonzero((y % c == 0).all(axis=1))
+    code = np.zeros(len(rows), dtype=np.int64)
+    pcode = np.zeros_like(code)
+    radix, stride = [], 1
+    for j, dj in enumerate(d):
+        q = dj // int(c[j])
+        if q > 1:
+            digit = y[rows, j] // c[j]
+            code += digit * stride
+            pcode += digit * p % q * stride
+            radix.append(q)
+            stride *= q
+    codes = code.tolist()
+    return rows.tolist(), codes, dict(zip(codes, pcode.tolist())), radix
+
+
+def _sylow_basis(group, sylow: list, p: int, pmap: dict):
+    """Basis of an abelian p-group given as its element list and its
+    p-th power map.
+
+    Repeatedly splits off the first element, in list order, of maximal
+    order in the current quotient (maximal coset order relative to the
+    span so far), adjusting it by a p^t-th root from the span so that the
+    new generator meets the span only in the identity.  Coset orders come
+    from walking pmap, and the coordinates of a span element are the
+    digits of its ``_extend`` position.  The span must end up covering
+    every element exactly once.
     """
     span = {group.identity: 0}
-    basis: list[tuple] = []
+    basis: list = []
     orders: list[int] = []
     size = len(sylow)
     while len(span) < size:
@@ -279,7 +432,7 @@ def _sylow_basis(group: _CheckedGroup, sylow: list[tuple], p: int, pmap: dict[tu
     return basis, orders
 
 
-def _check_torsion(group: _CheckedGroup, pmap: dict[tuple, tuple], p: int, orders: list[int]):
+def _check_torsion(group, pmap: dict, p: int, orders: list[int]):
     """Independent cross-check of a Sylow basis: for each j, up to the
     first at which it is the whole Sylow set, the p^j-torsion count must be
     the product of min(p^j, o) over the basis orders o.  These counts
@@ -296,6 +449,31 @@ def _check_torsion(group: _CheckedGroup, pmap: dict[tuple, tuple], p: int, order
             return
 
 
+def _sylow_bases(y: np.ndarray, d: list[int]) -> list[list[tuple[int, int]]]:
+    """Per prime p of prod(d), ascending, a basis of the Sylow p-subgroup
+    as (order, row of y) pairs, largest order first.
+
+    Each Sylow set is read off the Smith coordinates y over d by
+    ``_sylow_codes``; ``_sylow_basis`` and ``_check_torsion`` run on its
+    codes in row order.  The invariant factors the bases assemble, the
+    slot-wise products of their orders, must be d itself.
+    """
+    ranked = []
+    for p in sorted(factorize(d[-1])):
+        rows, codes, pmap, radix = _sylow_codes(y, d, p)
+        group = _DigitGroup(radix)
+        basis, orders = _sylow_basis(group, codes, p, pmap)
+        _check_torsion(group, pmap, p, orders)
+        row_of = dict(zip(codes, rows))
+        pairs = [(o, row_of[b]) for o, b in zip(orders, basis)]
+        ranked.append(sorted(pairs, key=lambda pair: pair[0], reverse=True))
+    slots = max(map(len, ranked))  # slot 0 holds the largest factor
+    factors = [prod(pairs[s][0] for pairs in ranked if s < len(pairs)) for s in range(slots)]
+    if factors[::-1] != d:
+        raise RuntimeError(f"Sylow bases give invariant factors {factors[::-1]}, Smith form {d}")
+    return ranked
+
+
 def structure_from_forms(
     forms: list[QuadForm],
 ) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]]:
@@ -304,13 +482,13 @@ def structure_from_forms(
     ascending with the factors.
 
     The sorted forms are walked once to grow the whole group coset by
-    coset; the forms that extended it form a generating set.  For each
-    p^v || h those generators, raised to h/p^v, are closed into the Sylow
-    p-subgroup, which must have p^v elements (when h = p^v it is the walk
-    itself).  One p-th power map per Sylow set then serves both its basis
-    (``_sylow_basis``) and the torsion-count cross-check.  Only the
-    generators are raised to a cofactor, so the cost is O(h) checked
-    products plus the p-th powers.
+    coset, which gives every form a walk position and the relations that
+    closed the walk.  Their Smith form maps all positions to Smith
+    coordinates (``_smith_coordinates``); the Sylow sets, their bases and
+    the torsion cross-check are read off those coordinates with no form
+    product (``_sylow_bases``).  Only the walk, about one checked product
+    per class, and the products that combine each slot's Sylow basis
+    elements into one generator compose forms.
 
     Raises ValueError when composition leaves the input set and RuntimeError
     when the certified basis construction cannot cover the group (both mean
@@ -326,24 +504,14 @@ def structure_from_forms(
         return AbelianGroup(()), []
 
     walk = sorted(group.elements)
-    _, gens = _close(group, walk, size=h)
-    ranked = []  # per prime, its (order, generator) pairs, largest order first
-    for p, v in sorted(factorize(h).items()):
-        sylow = walk if p**v == h else _sylow_set(group, gens, p, v)
-        pmap = {x: group.pow(x, p) for x in sylow}
-        basis, orders = _sylow_basis(group, sylow, p, pmap)
-        _check_torsion(group, pmap, p, orders)
-        ranked.append(sorted(zip(orders, basis), key=lambda pair: pair[0], reverse=True))
-
+    index, relations = _close(group, walk, size=h)
+    y, d = _smith_coordinates(relations, [index[f] for f in walk])
     combined: list[tuple[QuadForm, int]] = []
-    for slot in range(max(map(len, ranked))):  # slot 0 holds the largest factor
-        gen = group.identity
-        order = 1
-        for pairs in ranked:
-            if slot < len(pairs):
-                o, b = pairs[slot]
-                gen = group.mul(gen, b)
-                order *= o
+    for slot in zip_longest(*_sylow_bases(y, d)):  # slot 0 holds the largest factor
+        gen, order = group.identity, 1
+        for o, row in filter(None, slot):
+            gen = group.mul(gen, walk[row])
+            order *= o
         combined.append((QuadForm._make(gen), order))
     combined.reverse()  # ascending, aligned with invariant factors
-    return AbelianGroup(tuple(order for _, order in combined)), combined
+    return AbelianGroup(tuple(d)), combined

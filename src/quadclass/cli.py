@@ -27,11 +27,16 @@ from . import cohen_lenstra, density, dihedral
 from .abelian import AbelianGroup, is_p_suitable
 from .forms import ClassGroupCache, class_group
 from .ntheory import is_prime, multiplicative_order
-from .sweep import ResourceLimitError, batch_class_numbers
+from .sweep import ResourceLimitError, batch_class_numbers, check_budget
 
 #: Environment variable naming the class-group cache when --cache-path
 #: is not given; the CLI is the only reader of the environment.
 CACHE_ENV = "QUADCLASS_CACHE"
+
+#: Largest order traces takes.  Its rows factor h and phi(h) by trial
+#: division, whose cost grows as sqrt(h); the slowest order measured
+#: near the cap, 999999999959 (phi(h)/2 prime), answers in 0.18 s.
+MAX_TRACE_ORDER = 10**12
 
 
 def _emit(headers: list[str], rows, args) -> int:
@@ -133,8 +138,10 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_traces(args) -> int:
-    if any(h < 1 for h in args.orders_list):
-        raise ValueError("orders must be >= 1")
+    for h in args.orders_list:
+        if h < 1:
+            raise ValueError("orders must be >= 1")
+        check_budget("h", h, MAX_TRACE_ORDER, "trace-order")
     rows = []
     for h in args.orders_list:
         for p in args.p:

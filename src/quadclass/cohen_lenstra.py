@@ -179,5 +179,6 @@ def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityCom
     fund = int(np.count_nonzero(counts))
     if fund == 0:
         raise ValueError(f"no fundamental discriminants up to {X}")
-    divisible = int(np.count_nonzero((counts > 0) & (counts % p == 0)))
+    # a p past every class number divides none (and is past int32)
+    divisible = 0 if p > counts.max() else int(np.count_nonzero((counts > 0) & (counts % p == 0)))
     return DivisibilityComparison(p, X, divisible, fund, predicted_divisibility(p))

@@ -35,6 +35,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .abelian import AbelianGroup, _extend, is_p_suitable
+from .density import DEFAULT_SIEVE_BUDGET
 from .forms import (
     INERT,
     ClassGroupRecord,
@@ -42,6 +43,7 @@ from .forms import (
     Ramified,
     _compose,
     class_group,
+    is_fundamental,
     prime_form,
     principal_form,
 )
@@ -53,6 +55,7 @@ from .ntheory import (
     primes_up_to,
     totient,
 )
+from .sweep import check_budget
 
 # ---------------------------------------------------------------- cyclotomic
 
@@ -398,11 +401,16 @@ def find_witness(
 ) -> tuple[int, EigenCoefficient] | NotFoundUpToBound:
     """Smallest prime ell <= bound whose coefficient escapes F_p after
     reduction mod p, for the canonical character of order
-    witness_order(Cl(D), p).  D is a discriminant or its class-group
-    record; a caller that already holds the record passes it so the
-    class group is not computed again.
+    witness_order(Cl(D), p).  D is a fundamental discriminant or its
+    class-group record; a caller that already holds the record passes it
+    so the class group is not computed again.  bound may not exceed the
+    prime sieve's budget.
     """
+    check_budget("bound", bound, DEFAULT_SIEVE_BUDGET, "sieve")
     cg = D if isinstance(D, ClassGroupRecord) else class_group(D)
+    if not is_fundamental(cg.disc):
+        # a prime of the conductor has no invertible prime form
+        raise ValueError(f"{cg.disc} is not a fundamental discriminant")
     chi = make_character(cg, witness_order(cg.structure, p))
     for ell in map(int, primes_up_to(bound)):
         c = eigen_coeff(chi, ell)

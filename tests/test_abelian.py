@@ -1,8 +1,10 @@
 import random
 from collections import Counter
-from math import lcm
+from fractions import Fraction
+from math import lcm, prod
 
 import pytest
+from hypothesis import given, strategies as st
 
 from quadclass import abelian
 from quadclass.abelian import (
@@ -11,7 +13,11 @@ from quadclass.abelian import (
     _check_torsion,
     _close,
     _extend,
-    _sylow_set,
+    _relation_matrix,
+    _smith_coordinates,
+    _smith_form,
+    _sylow_bases,
+    _sylow_codes,
     aut_order,
     has_cyclic_quotient,
     is_p_suitable,
@@ -219,14 +225,16 @@ def test_invalid_chain_rejected():
 
 
 def _check_against_projection(D: int) -> None:
-    # Sylow sets from the closure of the projected generating set, and the
+    # Sylow sets read off the Smith coordinates of the walk, and the
     # structure built on them, against the projection of every form
     forms = enumerate_reduced(D)
     group = _CheckedGroup(forms)
-    _, gens = _close(group, sorted(group.elements), size=len(forms))
+    walk = sorted(group.elements)
+    index, relations = _close(group, walk, size=len(forms))
+    y, d = _smith_coordinates(relations, [index[f] for f in walk])
     oracle = sylow_sets_by_projection(group)
-    for p, v in factorize(len(forms)).items():
-        assert _sylow_set(group, gens, p, v) == oracle[p], (D, p)
+    for p in factorize(len(forms)):
+        assert [walk[i] for i in _sylow_codes(y, d, p)[0]] == oracle[p], (D, p)
     rec = class_group(D)
     assert (rec.structure.invariant_factors, rec.generators) == structure_by_projection(forms), D
 
@@ -272,9 +280,12 @@ def test_walk_positions_are_coordinates(D):
     for g in sorted(group.elements):
         if g not in index:
             before = len(index)
-            _extend(index, g, group.mul)
+            o, r = _extend(index, g, group.mul)
             gens.append(g)
             radix.append(len(index) // before)
+            # the relation that closed the walk: g^o sits at position r
+            assert o == radix[-1] and r < before
+            assert index[form_pow(g, o)] == r
     assert len(index) == len(forms)
     _assert_positions_are_coordinates(index, gens, radix, D)
 
@@ -297,15 +308,16 @@ def test_torsion_check_refuses_wrong_orders():
         _check_torsion(group, pmap, 3, [9])
 
 
-# C3xC3, C3xC9, C5xC20, C2xC324 (h = 648) and C4xC128 (h = 512)
-COMPOSITION_PANEL = (-4027, -3299, -11199, -304871, -303743)
+# C3xC3, C3xC9, C5xC20, C2xC324 (h = 648), C4xC128 (h = 512) and C1523
+COMPOSITION_PANEL = (-4027, -3299, -11199, -304871, -303743, -1000151)
 
 
 def test_structure_compositions_linear_in_h(monkeypatch):
-    # no timing: count checked products.  The retired route, which powered
-    # every form to each Sylow cofactor and every Sylow element again for
-    # the chain walks and the torsion check, took 6.7h to 15.5h on this
-    # panel; the generating-set closure takes at most 4.1h
+    # no timing: count checked products.  The walk composes once per class
+    # and the combined generators once per Sylow basis element, h to h + 2
+    # here; closing each Sylow set and mapping it to p-th powers by forms
+    # took 1.6h to 4.1h on the first five and 19h on C1523, whose 1523rd
+    # powers cost about log 1523 products per element
     calls = 0
     compose = abelian._compose
 
@@ -319,7 +331,7 @@ def test_structure_compositions_linear_in_h(monkeypatch):
         forms = enumerate_reduced(D)
         calls = 0
         structure_from_forms(forms)
-        assert calls <= 5 * len(forms), (D, calls, len(forms))
+        assert calls <= 1.25 * len(forms), (D, calls, len(forms))
 
 
 @pytest.mark.parametrize("D", [-231, -4027, -3299, -11199])
@@ -331,3 +343,57 @@ def test_missing_form_rejected_by_closure(D):
             continue
         with pytest.raises(ValueError, match="composition left the input set"):
             structure_from_forms([g for g in forms if g != f])
+
+
+@st.composite
+def walk_relations(draw):
+    """The (o_i, r_i) of a walk over one to four generators: g_i has
+    order o_i over the span before it, and g_i^(o_i) sits at position
+    r_i of that span."""
+    relations, size = [], 1
+    for o in draw(st.lists(st.integers(2, 12), min_size=1, max_size=4)):
+        relations.append((o, draw(st.integers(0, size - 1))))
+        size *= o
+    return relations
+
+
+def _det(m: list[list[int]]) -> Fraction:
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for t in range(len(a)):
+        k = next((i for i in range(t, len(a)) if a[i][t]), None)
+        if k is None:
+            return Fraction(0)
+        if k != t:
+            a[t], a[k] = a[k], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, len(a)):
+            f = a[i][t] / a[t][t]
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
+
+
+@given(walk_relations())
+def test_smith_form_of_walk_relations(relations):
+    rel = _relation_matrix(relations)
+    h = prod(o for o, _ in relations)
+    assert all(rel[i][j] == 0 for i in range(len(rel)) for j in range(i + 1, len(rel)))
+    assert _det(rel) == h
+    d, v = _smith_form(rel)
+    # a divisor chain of positive factors with product |det R|
+    assert all(x > 0 for x in d) and prod(d) == h
+    assert all(y % x == 0 for x, y in zip(d, d[1:]))
+    assert abs(_det(v)) == 1
+    # every relation maps to 0 in Z/d_1 + ... + Z/d_n
+    for row in rel:
+        assert all(sum(x * v[i][j] for i, x in enumerate(row)) % d[j] == 0 for j in range(len(d)))
+    # so the h positions of the walk get h distinct Smith coordinates
+    y, factors = _smith_coordinates(relations, range(h))
+    assert factors == [x for x in d if x > 1]
+    assert len({tuple(row) for row in y.tolist()}) == h
+    # and the Sylow bases assemble the same invariant factors
+    ranked = _sylow_bases(y, factors)
+    slots = [[o for o, _ in pairs] for pairs in ranked]
+    assembled = [prod(orders[s] for orders in slots if s < len(orders)) for s in range(len(factors))]
+    assert assembled[::-1] == factors

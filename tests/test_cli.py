@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -5,14 +6,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import quadclass
 from quadclass import forms, sweep
-from quadclass.cli import build_parser, main
+from quadclass.cli import CACHE_ENV, MAX_TRACE_ORDER, build_parser, main
 from quadclass.ntheory import factorize
 
 
@@ -96,13 +100,25 @@ def test_large_prime_rows(capsys):
     assert out.strip().splitlines()[1:] == ["5,101,1,1", "5,1009,2,1"]
     out = _run(capsys, "witness", "--disc", "-47", "--p", "1009", "--bound", "100")
     assert out.strip().splitlines()[1] == "-47,5,1009,,"
-    # a prime past trial-division reach: 2^61 - 1 = 1 mod 5
+    # a prime past trial-division reach: 2^61 - 1 = 1 mod 5; past int32 it
+    # divides no class number
     out = _run(capsys, "suitable", "--disc", "-47", "--p", str(2**61 - 1))
     assert out.strip().splitlines()[1] == f"-47,5,{2**61 - 1},0,"
+    out = _run(capsys, "clcompare", "--p", str(2**61 - 1), "--bound", "1000")
+    assert out.strip().splitlines()[1].startswith(f"{2**61 - 1},1000,0.000000,")
     # rows the field route refused, checked against the integer law:
     # primes with m(p-1)^2 >= 2^53, degrees m past 512, h = 100000007
-    # (m = 50000003) and h = 2*3*...*23
-    for h, p in ((5, 2147483647), (2, 94906297), (1523, 2), (100000007, 2), (223092870, 29)):
+    # (m = 50000003) and h = 2*3*...*23; then the trace-order cap itself
+    # and the slowest order measured below it (phi(h)/2 prime)
+    for h, p in (
+        (5, 2147483647),
+        (2, 94906297),
+        (1523, 2),
+        (100000007, 2),
+        (223092870, 29),
+        (MAX_TRACE_ORDER, 3),
+        (999999999959, 3),
+    ):
         (row,) = _run(capsys, "traces", "--orders", str(h), "--p", str(p)).splitlines()[1:]
         assert row.startswith(f"{h},{p},") and _law_row(row), row
     # a_2 = z^e + z^-e with z of prime order h, so its degree is the law's
@@ -385,6 +401,10 @@ DISC_CAP_REFUSALS = [
         ["suitable", "--disc", "-47", "--p", "3317044064679887385961981"],
         ["clweights", "--skip-primes", "3317044064679887385961981", "--bounds", "10"],
         *DISC_CAP_REFUSALS[3:],
+        # a prime of the conductor (2 | 76 = 4 * 19) has no invertible prime form
+        ["witness", "--disc", "-76", "--p", "2", "--bound", "100"],
+        # a prime sieve of 931 GiB
+        ["witness", "--disc", "-47", "--p", "2", "--bound", "1000000000001"],
     ],
 )
 def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
@@ -394,12 +414,32 @@ def test_out_of_range_input_exits_two_with_one_line(capsys, argv):
     assert err.startswith("quadclass: error: ")
 
 
-@pytest.mark.parametrize("argv", DISC_CAP_REFUSALS)
-def test_disc_cap_refuses_before_the_work_starts(capsys, argv):
+# orders past the trace-order budget, whose factoring by trial division
+# would run unbounded
+ORDER_CAP_REFUSALS = [
+    ["traces", "--orders", "1000000000000000003", "--p", "2"],
+    ["traces", "--orders", "5,1000000000001", "--p", "3"],
+]
+
+
+def _refused_within_a_second(capsys, argv, budget):
     t0 = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - t0 < 1.0
-    assert "reduced-form budget" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert f"{budget} budget" in captured.err
+
+
+@pytest.mark.parametrize("argv", DISC_CAP_REFUSALS)
+def test_disc_cap_refuses_before_the_work_starts(capsys, argv):
+    _refused_within_a_second(capsys, argv, "reduced-form")
+
+
+@pytest.mark.parametrize("argv", ORDER_CAP_REFUSALS)
+def test_order_cap_refuses_before_the_work_starts(capsys, argv):
+    _refused_within_a_second(capsys, argv, "trace-order")
 
 
 @pytest.mark.parametrize(
@@ -433,3 +473,109 @@ def test_malformed_flags_exit_nonzero():
 def test_unknown_subcommand_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+# Any integer a flag may meet: small ones of either sign (zero, positive
+# and non-fundamental discriminants among them), and values past every
+# budget and cap: 10^12 + 1 past the |D|, trace-order and sieve caps, 10^19
+# and +-2^63 past int64, and psi_13, where primality stops being decided
+_ANY_INT = st.one_of(
+    st.integers(-3000, 3000),
+    st.sampled_from([10**12 + 1, 10**19, 2**63, -(2**63), 3317044064679887385961981]),
+)
+
+
+def _usually(typical):
+    """typical three times in four, else any integer."""
+    return st.integers(0, 3).flatmap(lambda i: typical if i else _ANY_INT)
+
+
+def _int_list(typical):
+    """Comma-separated lists, empty and repeated ones among them."""
+    one = _usually(typical)
+    return st.one_of(
+        st.lists(one, max_size=4).map(lambda xs: ",".join(map(str, xs))),
+        one.map(lambda x: f"{x},{x}"),
+    )
+
+
+_DISC = _usually(
+    st.one_of(st.integers(-3000, -3), st.sampled_from([-3, -4, -23, -47, -3299, -4027, -1000151]))
+)
+_PRIME = _usually(st.sampled_from([2, 3, 5, 7, 11, 2**61 - 1]))
+_BOUND = _usually(st.integers(1, 3000))
+_SMALL = _usually(st.integers(1, 30))
+# every subcommand's flags with the values they draw; the --budget
+# override gets only small values, since lifting the class-data cap is
+# what it is for
+_FUZZ_FLAGS = {
+    "classgroup": [("--disc", _DISC)],
+    "batch": [("--max-abs-disc", _BOUND)],
+    "census": [
+        ("--max-abs-disc", _BOUND),
+        ("--orders", _int_list(st.integers(1, 30))),
+        ("--budget", st.integers(-10, 3000)),
+    ],
+    "exp3scan": [("--max-abs-disc", _BOUND)],
+    "suitable": [("--disc", _DISC), ("--p", _PRIME)],
+    "witness": [("--disc", _DISC), ("--p", _PRIME), ("--bound", _BOUND)],
+    "traces": [("--orders", _int_list(st.integers(1, 3000))), ("--p", _PRIME)],
+    "density": [("--p", _PRIME), ("--bounds", _int_list(st.integers(1, 3000)))],
+    "landau": [("--bound", _BOUND), ("--modulus", _SMALL), ("--residues", _int_list(st.integers(1, 30)))],
+    "clweights": [
+        ("--skip-primes", _int_list(st.sampled_from([2, 3, 5, 7]))),
+        ("--bounds", _int_list(st.integers(1, 3000))),
+    ],
+    "clcompare": [("--p", _PRIME), ("--bound", _BOUND)],
+}
+# a path under a directory that does not exist, a directory, and an empty
+# file that is no cache
+_NO_SUCH_PATH = os.path.join(tempfile.gettempdir(), "quadclass-no-such-dir", "rows.csv")
+_BAD_PATHS = [_NO_SUCH_PATH, tempfile.gettempdir()]
+
+
+def _rarely(*options):
+    """No arguments seven times in eight, else one of the options."""
+    return st.sampled_from([[]] * 7 * len(options) + list(options))
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    argv = draw(_rarely(["--format", "json"]))
+    argv += draw(_rarely(["--workers", "1"], ["--workers", "0"], ["--workers", "-2"]))
+    argv += draw(_rarely(["--output", os.devnull], *(["--output", p] for p in _BAD_PATHS)))
+    argv += draw(_rarely(*(["--cache-path", p] for p in _BAD_PATHS + [os.devnull])))
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv.append(command)
+    for flag, value in _FUZZ_FLAGS[command]:
+        # mostly once; sometimes missing, repeated or not a number at all
+        for _ in range(draw(st.sampled_from([1] * 18 + [0, 2]))):
+            garbled = draw(st.integers(0, 19)) == 0
+            argv += [flag, draw(st.sampled_from(["", "x1"])) if garbled else str(draw(value))]
+    return argv
+
+
+# per call: the refusals take milliseconds and the largest accepted
+# inputs here well under a second
+FUZZ_CALL_SECONDS = 5.0
+
+
+@settings(max_examples=400)
+@given(cli_argv())
+def test_cli_fuzz_exits_zero_or_two_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(CACHE_ENV, None)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert time.perf_counter() - t0 < FUZZ_CALL_SECONDS, argv
+    assert code in (0, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert err.getvalue() == "", argv
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("quadclass: error: "), (argv, lines)

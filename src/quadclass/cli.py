@@ -295,6 +295,9 @@ def _check_args(args) -> None:
     """Reject values argparse accepts as ints but no subcommand can use."""
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
+    # every worker is a spawned interpreter
+    if args.workers > (cpus := os.cpu_count() or 1):
+        raise ValueError(f"workers must be <= {cpus}, the CPU count")
     if not all(is_prime(p) for p in getattr(args, "p", ())):
         raise ValueError("p must be prime")
 
@@ -313,6 +316,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except (ResourceLimitError, ValueError, OSError) as exc:
         print(f"quadclass: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation it could not make; Python names none
+        detail = f": {exc}" if str(exc) else ""
+        print(f"quadclass: error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

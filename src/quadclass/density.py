@@ -40,7 +40,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, _within_bound, is_p_suitable
 from .forms import ClassGroupCache, class_group, class_number, exponent_divides
-from .ntheory import coprime_mask, factorize, is_squarefree, prime_to_p_part, primes_up_to, squarefree_mask
+from .ntheory import coprime_mask, factorize, is_squarefree, prime_to_p_part, primes_up_to, squarefree_mask, totient
 from .sweep import check_budget, class_numbers
 
 DEFAULT_SIEVE_BUDGET = 100_000_000
@@ -232,10 +232,7 @@ def landau_ratio_check(
     if X < 1000:
         raise ValueError("need X >= 1000 for a meaningful grid")
     table = landau_count(X, modulus, residues)
-    phi = modulus
-    for q in factorize(modulus):
-        phi -= phi // q
-    expo = 1.0 - len(table.residues) / phi
+    expo = 1.0 - len(table.residues) / totient(modulus)
     return [
         (x, m * math.log(x) ** expo / x) for x, m in table.samples
     ]

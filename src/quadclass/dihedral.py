@@ -20,17 +20,19 @@ by z -> z^p (Washington, Introduction to Cyclotomic Fields, ch. 2).  So
 the degree over F_p of a reduced coefficient zeta_h^e + zeta_h^-e is
 read off (e, h, p); no irreducible modulus or root of unity in F_{p^m}
 is ever built.  A witness prime is an ell whose reduced
-coefficient falls outside F_p.  Coefficients are exact throughout:
-cyclotomic integers are coefficient vectors reduced modulo the h-th
-cyclotomic polynomial (canonical, so equality is tuple equality), never
-floats.
+coefficient falls outside F_p.  Coefficients are exact throughout,
+never floats: each is held in the group ring Z[C_h], as the integer
+vector that counts the ideals of norm n by their character exponent
+log chi in Z/h (a ramified -1 is zeta_h^(h/2)).  The two routes
+compute this same vector, so they are compared there, which is stronger
+than comparing their images in Z[zeta_h]; no cyclotomic polynomial is
+needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -53,76 +55,20 @@ from .ntheory import (
     multiplicative_order,
     prime_to_p_part,
     primes_up_to,
-    totient,
 )
 from .sweep import check_budget
 
-# ---------------------------------------------------------------- cyclotomic
-
-
-def _moebius_product(h: int) -> np.ndarray:
-    """Phi_h = prod over d | h of (x^d - 1)^mu(h/d): exact little-endian
-    coefficients, as Python ints.
-
-    Only d = h/r with r squarefree count.  They are taken with r's
-    primes counted up in binary, so that after the first 2^j the product
-    is Phi_r(x^(h/r)) for r the product of the first j primes: a
-    polynomial again, and the entries stay small.  The result is a
-    polynomial, so the product runs as a power series cut past its
-    degree: 1 - x^d subtracts a copy shifted by d, and
-    1/(1 - x^d) = 1 + x^d + x^2d + ... is a running sum down each
-    residue class mod d.  (x^d - 1)^k is (1 - x^d)^k times (-1)^k.
-    """
-    primes = list(factorize(h))
-    deg = totient(h)
-    series = np.zeros(deg + 1, dtype=object)
-    series[0] = 1
-    flips = 0
-    for mask in range(1 << len(primes)):
-        r = prod(q for i, q in enumerate(primes) if mask >> i & 1)
-        k = (-1) ** mask.bit_count()
-        flips += k
-        d = h // r
-        if d > deg:
-            continue
-        if k > 0:
-            series[d:] -= series[:-d]
-        else:
-            rows = -(-(deg + 1) // d)
-            grid = np.zeros(rows * d, dtype=object)
-            grid[: deg + 1] = series
-            series = grid.reshape(rows, d).cumsum(axis=0).ravel()[: deg + 1]
-    return -series if flips % 2 else series
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(h: int) -> tuple[int, ...]:
-    """Coefficients of Phi_h, little-endian, from one Moebius product.
-
-    >>> cyclotomic_polynomial(6)
-    (1, -1, 1)
-    """
-    return tuple(int(c) for c in _moebius_product(h))
-
-
-def _phi_reduce(vec: np.ndarray, h: int) -> tuple[int, ...]:
-    phi = cyclotomic_polynomial(h)
-    deg = len(phi) - 1
-    out = [int(c) for c in vec]
-    for j in range(len(out) - 1, deg - 1, -1):
-        q = out[j]
-        if q:
-            for i in range(deg + 1):
-                out[j - deg + i] -= q * phi[i]
-    out = out[:deg]
-    return tuple(out + [0] * (deg - len(out)))
+# ---------------------------------------------------------------- group ring
 
 
 @dataclass(frozen=True)
 class Cyclotomic:
-    """An element of Z[zeta_h] in the power basis mod Phi_h.
+    """An element of the group ring Z[C_h]: coeffs[a] is the coefficient
+    of zeta^a, with zeta^h = 1.
 
-    The representative is unique, so == compares values.
+    Z[zeta_h] is the quotient of Z[C_h] by Phi_h(zeta), so == here
+    implies equality in Z[zeta_h]; the converse fails (the sum of all
+    zeta^a is zero only there).
     """
 
     h: int
@@ -130,19 +76,15 @@ class Cyclotomic:
 
     @staticmethod
     def zero(h: int) -> "Cyclotomic":
-        return Cyclotomic(h, (0,) * (len(cyclotomic_polynomial(h)) - 1))
+        return Cyclotomic(h, (0,) * h)
 
     @staticmethod
     def integer(h: int, n: int) -> "Cyclotomic":
-        vec = np.zeros(1, dtype=np.int64)
-        vec[0] = n
-        return Cyclotomic(h, _phi_reduce(vec, h))
+        return Cyclotomic(h, (n,) + (0,) * (h - 1))
 
     @staticmethod
     def zeta_power(h: int, e: int) -> "Cyclotomic":
-        vec = np.zeros(e % h + 1, dtype=np.int64)
-        vec[e % h] = 1
-        return Cyclotomic(h, _phi_reduce(vec, h))
+        return Cyclotomic(h, tuple(int(a == e % h) for a in range(h)))
 
     def _check(self, other: "Cyclotomic"):
         if self.h != other.h:
@@ -166,7 +108,8 @@ class Cyclotomic:
             np.array(self.coeffs, dtype=np.int64),
             np.array(other.coeffs, dtype=np.int64),
         )
-        return Cyclotomic(self.h, _phi_reduce(prod, self.h))
+        prod[: self.h - 1] += prod[self.h :]
+        return Cyclotomic(self.h, tuple(prod[: self.h].tolist()))
 
     def scaled(self, n: int) -> "Cyclotomic":
         return Cyclotomic(self.h, tuple(n * a for a in self.coeffs))
@@ -281,7 +224,8 @@ def coefficient_value(c: EigenCoefficient, h: int) -> Cyclotomic:
             h, -c.exponent
         )
     if isinstance(c, RamifiedCoefficient):
-        return Cyclotomic.integer(h, c.sign)
+        # -1 is zeta_h^(h/2); eigen_coeff gives -1 only for even h
+        return Cyclotomic.zeta_power(h, 0 if c.sign == 1 else h // 2)
     return Cyclotomic.zero(h)
 
 
@@ -389,7 +333,10 @@ def coeff_in_prime_field(c: EigenCoefficient, p: int) -> bool:
 def witness_order(structure: AbelianGroup, p: int) -> int:
     """Order of the character find_witness uses: the suitability witness
     order, or for p-unsuitable groups the full prime-to-p part of the
-    exponent (the search then certainly exhausts the bound)."""
+    exponent.  A witness is a split prime ell whose character value
+    chi(P) has some order o with p != +-1 mod o, and suitability does not
+    decide whether one exists: Cl(-95) = C8 is 3-unsuitable (8 divides
+    3^2 - 1), yet a_2 generates F_9."""
     report = is_p_suitable(structure, p)
     if report.suitable:
         return report.witness_h

@@ -45,6 +45,15 @@ def test_witness_row_and_not_found(capsys):
     assert out.strip().splitlines()[1] == "-23,3,2,,"
 
 
+def test_witness_found_for_unsuitable_group(capsys):
+    # Cl(-95) = C8 is 3-unsuitable (8 divides 3^2 - 1), yet a_2 generates
+    # F_9: suitability does not decide whether a witness exists
+    out = _run(capsys, "suitable", "--disc", "-95", "--p", "3")
+    assert out.strip().splitlines()[1] == "-95,8,3,0,"
+    out = _run(capsys, "witness", "--disc", "-95", "--p", "3")
+    assert out.strip().splitlines()[1] == "-95,8,3,2,2"
+
+
 def test_census_counts(capsys):
     out = _run(capsys, "census", "--max-abs-disc", "50", "--orders", "3,1,2")
     # canonical ordering sorts the requested orders
@@ -258,6 +267,7 @@ def test_emit_same_bytes_to_stdout_and_output(tmp_path, capsys, fmt, argv):
 
 
 def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # --workers 2 within the cap
     out = {}
     for workers in ("1", "2"):
         # an empty table, so that each run sweeps with its own worker count
@@ -353,6 +363,30 @@ def test_census_budget_override(capsys):
     assert err.splitlines() == ["quadclass: error: X = 101 exceeds the class-data budget 100"]
     out = _run(capsys, "census", "--budget", "101", "--max-abs-disc", "101", "--orders", "1")
     assert out.splitlines()[0] == "order,count"
+
+
+def test_workers_capped_at_cpu_count(capsys, monkeypatch):
+    # a small cap, so that a broken refusal starts three workers at most
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["--workers", "3", "batch", "--max-abs-disc", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["quadclass: error: workers must be <= 2, the CPU count"]
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 3.64 TiB", ""])
+def test_memory_error_exits_two_with_one_line(capsys, monkeypatch, message):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    # raised where the sweep would allocate, so nothing large is allocated
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "sweep_counts", exhausted)
+    assert main(["census", "--budget", "100000", "--max-abs-disc", "100000", "--orders", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    want = "quadclass: error: out of memory" + (f": {message}" if message else "")
+    assert captured.err.splitlines() == [want]
 
 
 def test_budget_error_exit_code(capsys):

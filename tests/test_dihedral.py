@@ -12,7 +12,6 @@ from quadclass.dihedral import (
     SplitCoefficient,
     coeff_in_prime_field,
     coefficient_value,
-    cyclotomic_polynomial,
     eigen_coeff,
     euler_expansion,
     find_witness,
@@ -21,48 +20,7 @@ from quadclass.dihedral import (
     theta_coeff_oracle,
 )
 from quadclass.forms import class_group, compose, enumerate_reduced, kronecker, prime_form, QuadForm
-from quadclass.ntheory import primes_up_to
-
-CLASSICAL_CYCLOTOMICS = {
-    1: (-1, 1),
-    2: (1, 1),
-    3: (1, 1, 1),
-    4: (1, 0, 1),
-    5: (1, 1, 1, 1, 1),
-    6: (1, -1, 1),
-    8: (1, 0, 0, 0, 1),
-    9: (1, 0, 0, 1, 0, 0, 1),
-    12: (1, 0, -1, 0, 1),
-}
-
-
-def _poly_mul(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return out
-
-
-def test_cyclotomic_polynomials_classical():
-    for h, want in CLASSICAL_CYCLOTOMICS.items():
-        assert cyclotomic_polynomial(h) == want
-
-
-def test_cyclotomic_product_identity():
-    # prod over d | n of Phi_d = x^n - 1
-    for n in range(1, 41):
-        prod = [1]
-        for d in range(1, n + 1):
-            if n % d == 0:
-                prod = _poly_mul(prod, cyclotomic_polynomial(d))
-        want = [-1] + [0] * (n - 1) + [1]
-        assert prod == want, n
-
-
-def test_cyclotomic_105_has_coefficient_two():
-    # the first index where a coefficient outside {-1, 0, 1} appears
-    assert cyclotomic_polynomial(105)[7] == -2
+from quadclass.ntheory import factorize, primes_up_to
 
 
 def test_zeta_arithmetic():
@@ -72,10 +30,6 @@ def test_zeta_arithmetic():
             for b in range(h):
                 za, zb = Cyclotomic.zeta_power(h, a), Cyclotomic.zeta_power(h, b)
                 assert za * zb == Cyclotomic.zeta_power(h, (a + b) % h)
-        total = Cyclotomic.zero(h)
-        for a in range(h):
-            total = total + Cyclotomic.zeta_power(h, a)
-        assert total.is_zero()
         assert (one + one).halved() == one
 
 
@@ -180,6 +134,31 @@ def test_theta_oracle_equals_euler_expansion_small():
         series = euler_expansion(chi, 120)
         for n in range(1, 121):
             assert theta_coeff_oracle(chi, n) == series[n], (D, n)
+
+
+def test_ramified_minus_one_is_zeta_half_turn():
+    for h in (2, 4, 6, 8):
+        want = Cyclotomic.zeta_power(h, h // 2)
+        assert coefficient_value(RamifiedCoefficient(-1), h) == want
+        assert want * want == Cyclotomic.integer(h, 1)
+
+
+# Cl(-20) = C2, Cl(-56) = C4, Cl(-84) = C2 x C2, Cl(-260) = C2 x C4 and
+# Cl(-420) = C2^3: even orders, whose ramified values can be -1
+@pytest.mark.parametrize("D", [-20, -56, -84, -260, -420])
+def test_theta_oracle_equals_euler_expansion_even_orders(D):
+    cg = class_group(D)
+    exponent = cg.structure.exponent
+    minus_one = 0
+    for h in (h for h in range(1, exponent + 1) if exponent % h == 0):
+        chi = make_character(cg, h)
+        series = euler_expansion(chi, 200)
+        for n in range(1, 201):
+            assert theta_coeff_oracle(chi, n) == series[n], (D, h, n)
+        minus_one += any(
+            eigen_coeff(chi, ell) == RamifiedCoefficient(-1) for ell in factorize(-D)
+        )
+    assert minus_one  # some character takes -1 at a ramified prime
 
 
 def test_euler_expansion_multiplicative():

@@ -24,10 +24,10 @@ from fractions import Fraction
 from itertools import islice
 
 from . import cohen_lenstra, density, dihedral
-from .abelian import AbelianGroup, is_p_suitable
+from .abelian import is_p_suitable
 from .forms import ClassGroupCache, class_group
-from .ntheory import is_prime, multiplicative_order
-from .sweep import ResourceLimitError, batch_class_numbers, check_budget
+from .ntheory import check_budget, is_prime, multiplicative_order
+from .sweep import batch_class_numbers
 
 #: Environment variable naming the class-group cache when --cache-path
 #: is not given; the CLI is the only reader of the environment.
@@ -100,19 +100,10 @@ def _cmd_suitable(args) -> int:
     cache = _cache(args)
     rows = []
     for disc in args.disc:
-        h, factors = cache.get(disc)
-        structure = AbelianGroup(factors)
+        structure = cache.get(disc)
         for p in args.p:
             report = is_p_suitable(structure, p)
-            rows.append(
-                [
-                    disc,
-                    h,
-                    p,
-                    int(report.suitable),
-                    report.witness_h if report.witness_h is not None else "",
-                ]
-            )
+            rows.append([disc, structure.order, p, int(report.suitable), report.witness_h or ""])
     rows.sort(key=lambda r: (-r[0], r[2]))
     cache.save()
     return _emit(["disc", "h", "p", "suitable", "witness_h"], rows, args)
@@ -314,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_args(args)
         return args.fn(args)
-    except (ResourceLimitError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"quadclass: error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

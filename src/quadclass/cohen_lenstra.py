@@ -22,8 +22,8 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .abelian import AbelianGroup, aut_order
-from .ntheory import coprime_mask, factorize, is_prime, primes_up_to
-from .sweep import check_budget, class_numbers
+from .ntheory import check_budget, coprime_mask, factorize, is_prime, primes_up_to
+from .sweep import class_numbers
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 

@@ -9,7 +9,7 @@ mask builder; the two are spot-checked against each other.
 The scans at the bottom (exponent-3, power-of-two census, suitable
 divisors) sit on top of the shared class-number table
 (sweep.class_numbers).  They keep fixed caps: the sieves refuse X past
-DEFAULT_SIEVE_BUDGET and the table refuses X past its class-data cap.
+ntheory.SIEVE_BUDGET and the table refuses X past its class-data cap.
 Only the census passes a budget through to the table, for runs at the
 reference bound.
 
@@ -21,8 +21,8 @@ Questions about the exponent of a class group take one of two routes,
 one per construction of the H_p set, and no verdict is memoized.  Both
 first screen on h with the suitability law of abelian._within_bound,
 which settles most discriminants instantly.  The suitable-divisor
-sieve settles the rest by certified structure through a
-ClassGroupCache; the divisor walk of has_suitable_divisor settles them
+sieve settles the rest by the certified AbelianGroup a ClassGroupCache
+hands out; the divisor walk of has_suitable_divisor settles them
 by forms.exponent_divides, which powers prime forms and needs no
 structure (the exponent-3 scan asks it too).  So the sieve and its
 oracle share no verdict.
@@ -38,12 +38,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .abelian import AbelianGroup, _within_bound, is_p_suitable
+from .abelian import _within_bound, is_p_suitable
 from .forms import ClassGroupCache, class_group, class_number, exponent_divides
-from .ntheory import coprime_mask, factorize, is_squarefree, prime_to_p_part, primes_up_to, squarefree_mask, totient
-from .sweep import check_budget, class_numbers
-
-DEFAULT_SIEVE_BUDGET = 100_000_000
+from .ntheory import (
+    SIEVE_BUDGET, check_budget, coprime_mask, factorize, is_squarefree, prime_to_p_part,
+    primes_up_to, squarefree_mask, totient,
+)
+from .sweep import class_numbers
 
 # Strict bound under which the reference census counts for orders 128
 # and 512 (3722 and 18046) are reproduced.  Order 256 is complete long
@@ -175,7 +176,7 @@ class DensityEstimate:
 def estimate(M: IntegerSet, N: IntegerSet, X: int) -> DensityEstimate:
     """Density of M within N up to X by exact enumeration (M is measured
     as M cap N, so M need not be a subset)."""
-    check_budget("X", X, DEFAULT_SIEVE_BUDGET, "sieve")
+    check_budget("X", X, SIEVE_BUDGET, "sieve")
     if X < 1:
         raise ValueError("bound must be >= 1")
     ambient = N.mask_up_to(X)
@@ -208,7 +209,7 @@ class LandauTable:
 def landau_count(X: int, modulus: int, residues: Iterable[int]) -> LandauTable:
     """M(x) = #{n <= x with all prime factors in the residue classes},
     at geometric sample points up to X."""
-    check_budget("X", X, DEFAULT_SIEVE_BUDGET, "sieve")
+    check_budget("X", X, SIEVE_BUDGET, "sieve")
     if X < 1:
         raise ValueError("bound must be >= 1")
     if modulus < 1:
@@ -337,7 +338,7 @@ def suitable_divisor_mask(
             continue
         verdict = _suitability_screen(int(h_table[d]), p)
         if verdict is None:
-            verdict = is_p_suitable(AbelianGroup(cache.get(-d)[1]), p).suitable
+            verdict = is_p_suitable(cache.get(-d), p).suitable
         if verdict:
             marked[d::d] = True
     return marked

@@ -37,7 +37,6 @@ from math import gcd, isqrt
 import numpy as np
 
 from .abelian import AbelianGroup, _extend, is_p_suitable
-from .density import DEFAULT_SIEVE_BUDGET
 from .forms import (
     INERT,
     ClassGroupRecord,
@@ -50,13 +49,14 @@ from .forms import (
     principal_form,
 )
 from .ntheory import (
+    SIEVE_BUDGET,
+    check_budget,
     factorize,
     kronecker,
     multiplicative_order,
     prime_to_p_part,
     primes_up_to,
 )
-from .sweep import check_budget
 
 # ---------------------------------------------------------------- group ring
 
@@ -118,9 +118,6 @@ class Cyclotomic:
         if any(a % 2 for a in self.coeffs):
             raise AssertionError("halving an odd cyclotomic integer")
         return Cyclotomic(self.h, tuple(a // 2 for a in self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
 
 
 # ----------------------------------------------------------------- character
@@ -353,7 +350,7 @@ def find_witness(
     so the class group is not computed again.  bound may not exceed the
     prime sieve's budget.
     """
-    check_budget("bound", bound, DEFAULT_SIEVE_BUDGET, "sieve")
+    check_budget("bound", bound, SIEVE_BUDGET, "sieve")
     cg = D if isinstance(D, ClassGroupRecord) else class_group(D)
     if not is_fundamental(cg.disc):
         # a prime of the conductor has no invertible prime form

@@ -12,6 +12,8 @@ as they are, with the discriminant passed in, and validates nothing
 inside its loops; a public function wraps the kernel's result with
 ``QuadForm._make``, which does not validate again.  ``fundamental_mask``
 is the strike sieve ``ntheory.coprime_mask`` and a residue pattern.
+``abelian`` builds on these forms, so ``class_group`` and
+``ClassGroupCache._load`` import it where they run.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from math import isqrt
 
 import numpy as np
 
-from .ntheory import coprime_mask, is_squarefree, kronecker, power, primes_up_to, sqrt_mod_prime, xgcd
+from .ntheory import check_budget, coprime_mask, is_squarefree, kronecker, power, primes_up_to, sqrt_mod_prime, xgcd
 
 
 def is_fundamental(D: int) -> bool:
@@ -214,10 +216,7 @@ def enumerate_reduced(D) -> list[QuadForm]:
     """
     D = _disc_value(D)
     absD = -D
-    if absD > MAX_ENUMERATED_DISC:
-        from .sweep import check_budget  # sweep imports this module
-
-        check_budget("|D|", absD, MAX_ENUMERATED_DISC, "reduced-form")
+    check_budget("|D|", absD, MAX_ENUMERATED_DISC, "reduced-form")
     parity = absD & 1
     top = isqrt(absD // 3)
     found = []
@@ -354,7 +353,8 @@ def class_group(D) -> ClassGroupRecord:
 
 
 class ClassGroupCache:
-    """Read-through cache of (disc, h, invariant factors) rows.
+    """Read-through cache of class groups: get(disc) returns the
+    AbelianGroup of disc, built and checked once, on load or on a miss.
 
     The backing file is CSV with header ``disc,h,invariant_factors``; the
     factor chain is semicolon-joined ascending, e.g. ``-4027,9,3;3``.
@@ -365,7 +365,7 @@ class ClassGroupCache:
 
     def __init__(self, path: str | None = None):
         self.path = path
-        self._rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self._groups: dict[int, "AbelianGroup"] = {}  # noqa: F821
         self.dirty = False
         if self.path and os.path.exists(self.path):
             self._load()
@@ -379,25 +379,24 @@ class ClassGroupCache:
                 raise ValueError(f"unexpected cache header in {self.path}: {reader.fieldnames}")
             for row in reader:
                 try:
-                    disc, h = int(row["disc"]), int(row["h"])
+                    disc, h = _disc_value(int(row["disc"])), int(row["h"])
                     cell = row["invariant_factors"] or ""  # None: the row is cut short
                     group = AbelianGroup(tuple(int(t) for t in cell.split(";") if t))
                 except (TypeError, ValueError):
                     group = None
-                if group is None or group.order != h:
+                if group is None or group.order != h or disc in self._groups:
                     raise ValueError(
                         f"corrupt cache row in {self.path} at line {reader.line_num}: "
                         f"disc {row['disc']}"
                     )
-                self._rows[disc] = (h, group.invariant_factors)
+                self._groups[disc] = group
 
-    def get(self, disc: int) -> tuple[int, tuple[int, ...]]:
+    def get(self, disc: int) -> "AbelianGroup":  # noqa: F821
         disc = _disc_value(disc)
-        if disc not in self._rows:
-            record = class_group(disc)
-            self._rows[disc] = (record.class_number, record.structure.invariant_factors)
+        if disc not in self._groups:
+            self._groups[disc] = class_group(disc).structure
             self.dirty = True
-        return self._rows[disc]
+        return self._groups[disc]
 
     def save(self):
         """Write the rows to a temporary file beside the cache, then move it
@@ -409,9 +408,8 @@ class ClassGroupCache:
             with open(tmp, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(self.HEADER)
-                for disc in sorted(self._rows, key=abs):
-                    h, factors = self._rows[disc]
-                    writer.writerow([disc, h, ";".join(str(d) for d in factors)])
+                for disc, group in sorted(self._groups.items(), reverse=True):  # ascending |D|
+                    writer.writerow([disc, group.order, ";".join(map(str, group.invariant_factors))])
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.path)

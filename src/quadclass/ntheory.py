@@ -2,7 +2,8 @@
 
 Everything here is deterministic and exact; sieves return numpy arrays,
 scalar helpers work on plain Python ints.  Every integer-set mask is the
-strike sieve coprime_mask, and power is the one binary powering loop.
+strike sieve coprime_mask, power is the one binary powering loop, and
+check_budget is the one resource guard: it raises ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -10,6 +11,20 @@ from __future__ import annotations
 from math import gcd, isqrt
 
 import numpy as np
+
+
+class ResourceLimitError(ValueError):
+    """A requested bound exceeds the configured memory/time budget."""
+
+
+def check_budget(name: str, value: int, cap: int, kind: str) -> None:
+    """Refuse value above cap."""
+    if value > cap:
+        raise ResourceLimitError(f"{name} = {value} exceeds the {kind} budget {cap}")
+
+
+#: Largest bound a caller may sieve primes or integer sets to.
+SIEVE_BUDGET = 100_000_000
 
 
 def prime_mask(limit: int) -> np.ndarray:

@@ -47,13 +47,10 @@ from multiprocessing import get_context
 import numpy as np
 
 from .forms import fundamental_mask
+from .ntheory import check_budget
 
 #: The sweep kernel in use; numpy is the only one.
 BACKEND = "python"
-
-
-class ResourceLimitError(Exception):
-    """A requested bound exceeds the configured memory/time budget."""
 
 
 #: Largest X accepted by class_numbers without an explicit budget
@@ -68,12 +65,6 @@ _BLOCK = 1 << 18
 _PATTERN_BUDGET = 1 << 18
 #: Shortest pattern row, so that numpy's inner loop stays long for small a.
 _MIN_ROW = 1024
-
-
-def check_budget(name: str, value: int, cap: int, kind: str) -> None:
-    """Refuse value above cap."""
-    if value > cap:
-        raise ResourceLimitError(f"{name} = {value} exceeds the {kind} budget {cap}")
 
 
 def _pattern_row(a: int) -> np.ndarray:

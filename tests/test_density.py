@@ -29,8 +29,8 @@ from quadclass.density import (
     suitable_divisor_mask,
 )
 from quadclass.forms import class_group, is_fundamental
-from quadclass.ntheory import factorize, is_squarefree, prime_mask
-from quadclass.sweep import ResourceLimitError, sweep_counts
+from quadclass.ntheory import ResourceLimitError, factorize, is_squarefree, prime_mask
+from quadclass.sweep import sweep_counts
 
 from _oracles import class_number_by_box_scan, suitable_by_enumeration
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadclass.abelian import AbelianGroup
 from quadclass.forms import (
     MAX_ENUMERATED_DISC,
     ClassGroupCache,
@@ -26,8 +27,7 @@ from quadclass.forms import (
     principal_form,
     reduce_form,
 )
-from quadclass.ntheory import is_squarefree
-from quadclass.sweep import ResourceLimitError
+from quadclass.ntheory import ResourceLimitError, is_squarefree
 
 from _oracles import class_number_by_box_scan, enumerate_reduced_per_a, prime_form_by_least_b
 
@@ -304,11 +304,12 @@ def test_ambiguous_forms_match_two_torsion():
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "cg.csv"
     cache = ClassGroupCache(str(path))
-    assert cache.get(-4027) == (9, (3, 3))
+    assert cache.get(-4027) == AbelianGroup((3, 3))
     cache.save()
     assert [p.name for p in tmp_path.iterdir()] == ["cg.csv"]  # no *.tmp left
     fresh = ClassGroupCache(str(path))
-    assert fresh._rows[-4027] == (9, (3, 3))
+    assert fresh.get(-4027) == AbelianGroup((3, 3))
+    assert not fresh.dirty  # read from the file, not computed again
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["disc", "h", "invariant_factors"]
@@ -316,15 +317,32 @@ def test_cache_roundtrip(tmp_path):
 
 @pytest.mark.parametrize(
     "row",
-    ["-4027,9,3", "-4027,9,2;6", "-4027,9,3;3;1", "-231,12,3;4", "-23,3,", "-23,3", "-23", "-23,3,x"],
+    [
+        "-4027,9,3", "-4027,9,2;6", "-4027,9,3;3;1", "-231,12,3;4",
+        "-23,3,", "-23,3", "-23", "-23,3,x", "5,1,", "-47,5,5",
+    ],
 )
 def test_cache_rejects_corrupt_row(tmp_path, row):
-    # wrong product, not a divisor chain, factor 1, cut short, not a number
+    # wrong product, not a divisor chain, factor 1, cut short, not a
+    # number, not a negative discriminant, a disc already read
     path = tmp_path / "cg.csv"
     path.write_text(f"disc,h,invariant_factors\n-47,5,5\n{row}\n")
     disc = row.split(",")[0]
     with pytest.raises(ValueError, match=f"{re.escape(str(path))} at line 3: disc {disc}$"):
         ClassGroupCache(str(path))
+
+
+def test_cache_file_bytes_pinned(tmp_path):
+    # the benchmark's scan check and its worker read this file, so the
+    # format written stays the one read: header, then ascending |D|
+    path = tmp_path / "cg.csv"
+    path.write_bytes(b"disc,h,invariant_factors\r\n-3,1,\r\n-231,12,2;6\r\n-4027,9,3;3\r\n")
+    cache = ClassGroupCache(str(path))
+    assert cache.get(-47) == AbelianGroup((5,))
+    cache.save()
+    assert path.read_bytes() == (
+        b"disc,h,invariant_factors\r\n-3,1,\r\n-47,5,5\r\n-231,12,2;6\r\n-4027,9,3;3\r\n"
+    )
 
 
 def test_cache_without_path_stays_in_memory(tmp_path, monkeypatch):
@@ -334,7 +352,7 @@ def test_cache_without_path_stays_in_memory(tmp_path, monkeypatch):
     monkeypatch.setenv("QUADCLASS_CACHE", str(tmp_path / "env.csv"))
     cache = ClassGroupCache()
     assert cache.path is None
-    assert cache.get(-23) == (3, (3,))
+    assert cache.get(-23) == AbelianGroup((3,))
     cache.save()
     assert list(tmp_path.iterdir()) == []
 

@@ -6,8 +6,8 @@ import pytest
 
 from quadclass import sweep
 from quadclass.forms import fundamental_mask, is_fundamental
+from quadclass.ntheory import ResourceLimitError
 from quadclass.sweep import (
-    ResourceLimitError,
     batch_class_numbers,
     class_numbers,
     count_reduced_forms,

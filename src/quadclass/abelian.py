@@ -1,5 +1,5 @@
 """Structure of finite abelian groups, given either as invariant factors or
-as a set of reduced forms under composition.
+as a class group of reduced forms under composition.
 
 The suitability test here is the gate for everything dihedral: a group
 qualifies for a prime p exactly when the prime-to-p part of its exponent
@@ -8,14 +8,20 @@ and the order screen of ``density`` uses it too.
 
 Structure from forms composes the ``QuadForm`` tuples through the private
 kernel of ``forms``, which validates nothing inside the loops, and costs
-one checked product per class plus one per combined generator (after
+one product per class plus one per combined generator (after
 Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt, Math. Comp. 74, 2005):
 
-- one walk: the sorted forms are walked once by the coset walk
-  ``_extend``, growing the subgroup they generate coset by coset until it
-  has h elements.  Each class sits at a position whose mixed-radix digits
-  over the generator orders o_i are its coordinates, and each generator's
-  walk stops on a relation, g_i^(o_i) = the class at an earlier position;
+- one walk: the coset walk ``_extend`` grows the subgroup its generators
+  span, coset by coset, until it is the whole group.  Each class sits at
+  a position whose mixed-radix digits over the generator orders o_i are
+  its coordinates, and each generator's walk stops on a relation,
+  g_i^(o_i) = the class at an earlier position.  The generators are the
+  prime forms of norm at most sqrt(|D|/3), in ascending norm, for a
+  fundamental D (``structure_from_prime_forms``): no element list is
+  needed, and the walk refuses past a cap on the classes it holds.  For
+  a full list of reduced forms (``structure_from_forms``, the route of
+  the other D) they are the sorted forms, and every product must land in
+  the list;
 - Smith coordinates: those relations are the rows of a lower-triangular
   matrix of determinant h.  Its Smith normal form diag(d) = U R V
   (Cohen, *A Course in Computational Algebraic Number Theory*,
@@ -29,26 +35,33 @@ Teske, Math. Comp. 67, 1998, and Buchmann–Schmidt, Math. Comp. 74, 2005):
 - only the generators, one per invariant factor, are composed from the
   Sylow basis elements as forms again.
 
+Both walks share that tail (``_structure_of_walk``).  It reads the
+classes in sorted order, and the basis choice depends only on the group
+law and that order, so both give the same generators.
+
 ``dihedral.make_character`` walks the record's generators with the same
 ``_extend`` and reads a character off the last coordinate.
 
-Every certificate is kept: each product must land in the input set, the
-walk must reach h elements without a coset collision, each basis element
-must return to the span after exactly its order, the basis span must cover
-the Sylow set, each p^j-torsion count must match the basis orders, and the
-invariant factors the Sylow bases assemble must be the Smith form's d.
+Every certificate is kept: each product of the form-list walk must land
+in the input set, a walk must close without a coset collision, each
+basis element must return to the span after exactly its order, the basis
+span must cover the Sylow set, each p^j-torsion count must match the
+basis orders, and the invariant factors the Sylow bases assemble must be
+the Smith form's d.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
-from math import prod
+from itertools import islice, zip_longest
+from math import isqrt, prod
 
 import numpy as np
 
-from .forms import QuadForm, _compose, _reduce, principal_form
-from .ntheory import divisors, factorize, power, prime_to_p_part
+from .forms import (
+    _FUNDAMENTAL_MOD_16, INERT, QuadForm, Ramified, _compose, _reduce, prime_form, principal_form,
+)
+from .ntheory import check_budget, divisors, factorize, iter_primes, power, prime_to_p_part
 
 
 @dataclass(frozen=True)
@@ -221,7 +234,9 @@ class _DigitGroup:
         return self._combine(0, x, -1)
 
 
-def _extend(index: dict, g, mul, order: int | None = None) -> tuple[int, int]:
+def _extend(
+    index: dict, g, mul, order: int | None = None, cap: int | None = None
+) -> tuple[int, int]:
     """Grow the subgroup H held in index (element -> position, identity at
     0) by g, in place, and return the relation that closes the walk:
     (o, r) with g^o the element at position r < |H|.
@@ -233,12 +248,15 @@ def _extend(index: dict, g, mul, order: int | None = None) -> tuple[int, int]:
     significant first, are the coordinates of its element.  Each new
     element costs one product.  A coset that meets what is already there
     means the input is not a group, and so does a g whose order over H is
-    not the order given.
+    not the order given.  With a cap, a coset that would take the walk
+    past cap elements is refused by ``check_budget`` before it is built.
     """
     old = len(index)
     subgroup = list(index)
     y, k = g, 1  # y = g^k
     while index.get(y, old) >= old:  # y is not in H yet
+        if cap is not None:
+            check_budget("classes", len(index) + old, cap, "class-group element")
         # subgroup[0] is the identity, whose product with y is y
         for x in [y] + [mul(s, y) for s in subgroup[1:]]:
             if x in index:
@@ -347,8 +365,10 @@ def _smith_coordinates(relations: list[tuple[int, int]], positions) -> tuple[np.
     diag(d) = U R V of their ``_relation_matrix`` R, each position, as
     digits over (o_1, ..., o_n), maps to y = digits V mod d, one row of
     the result, all positions in one int64 product.  Column j of V is
-    reduced mod d_j first, so every entry of the product is below n h^2,
-    far inside int64 for any h of |D| <= MAX_ENUMERATED_DISC.
+    reduced mod d_j first, so every entry of the product is below n h^2.
+    With n <= log2(h) that is below 2e13 for h up to the walk's element
+    cap, forms.MAX_WALKED_CLASSES = 10^6, and for the h of any |D| up to
+    the grid's cap, forms.MAX_ENUMERATED_DISC: far inside int64.
     """
     orders = [o for o, _ in relations]
     n = len(orders)
@@ -474,6 +494,40 @@ def _sylow_bases(y: np.ndarray, d: list[int]) -> list[list[tuple[int, int]]]:
     return ranked
 
 
+def _structure_of_walk(
+    index: dict, relations: list[tuple[int, int]], mul
+) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]]:
+    """Invariant factors of a whole class group grown by ``_extend``, and
+    a (generator, order) pair per invariant factor, ascending with the
+    factors: the tail both walks share.
+
+    index holds every class at its walk position, with the identity at
+    0, and relations the (o, r) of each generator that extended it.
+    Their Smith form maps all positions to Smith coordinates
+    (``_smith_coordinates``), taken with the classes in sorted order; the
+    Sylow sets, their bases and the torsion cross-check are read off those
+    coordinates with no form product (``_sylow_bases``), and only the
+    products that combine each slot's Sylow basis elements into one
+    generator compose forms, by mul.  The basis choice reads only the
+    group law and the sorted order, never the walk's own coordinates, so
+    any walk over the same group gives the same generators.
+    """
+    if not relations:
+        return AbelianGroup(()), []
+    walk = sorted(index)
+    y, d = _smith_coordinates(relations, [index[f] for f in walk])
+    identity = walk[0]  # the principal form (1, b, c) sorts first
+    combined: list[tuple[QuadForm, int]] = []
+    for slot in zip_longest(*_sylow_bases(y, d)):  # slot 0 holds the largest factor
+        gen, order = identity, 1
+        for o, row in filter(None, slot):
+            gen = mul(gen, walk[row])
+            order *= o
+        combined.append((QuadForm._make(gen), order))
+    combined.reverse()  # ascending, aligned with invariant factors
+    return AbelianGroup(tuple(d)), combined
+
+
 def structure_from_forms(
     forms: list[QuadForm],
 ) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]]:
@@ -482,13 +536,10 @@ def structure_from_forms(
     ascending with the factors.
 
     The sorted forms are walked once to grow the whole group coset by
-    coset, which gives every form a walk position and the relations that
-    closed the walk.  Their Smith form maps all positions to Smith
-    coordinates (``_smith_coordinates``); the Sylow sets, their bases and
-    the torsion cross-check are read off those coordinates with no form
-    product (``_sylow_bases``).  Only the walk, about one checked product
-    per class, and the products that combine each slot's Sylow basis
-    elements into one generator compose forms.
+    coset, every product checked to land in the list, which gives every
+    form a walk position and the relations that closed the walk;
+    ``_structure_of_walk`` reads the structure off them.  About one
+    checked product per class composes forms.
 
     Raises ValueError when composition leaves the input set and RuntimeError
     when the certified basis construction cannot cover the group (both mean
@@ -499,19 +550,49 @@ def structure_from_forms(
     (AbelianGroup(C5xC20), [((12,-9,235), 5), ((35,-1,80), 20)])
     """
     group = _CheckedGroup(forms)
-    h = group.order
-    if h == 1:
-        return AbelianGroup(()), []
+    index, relations = _close(group, sorted(group.elements), size=group.order)
+    return _structure_of_walk(index, relations, group.mul)
 
-    walk = sorted(group.elements)
-    index, relations = _close(group, walk, size=h)
-    y, d = _smith_coordinates(relations, [index[f] for f in walk])
-    combined: list[tuple[QuadForm, int]] = []
-    for slot in zip_longest(*_sylow_bases(y, d)):  # slot 0 holds the largest factor
-        gen, order = group.identity, 1
-        for o, row in filter(None, slot):
-            gen = group.mul(gen, walk[row])
-            order *= o
-        combined.append((QuadForm._make(gen), order))
-    combined.reverse()  # ascending, aligned with invariant factors
-    return AbelianGroup(tuple(d)), combined
+
+def structure_from_prime_forms(
+    D: int, cap: int
+) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]] | None:
+    """What ``structure_from_forms`` returns for the full form list of D,
+    from a walk over the prime forms of D; None when D is not
+    fundamental.
+
+    For fundamental D the split and ramified prime forms of norm at most
+    sqrt(|D|/3) generate Cl(D) (see ``forms.exponent_divides``), so
+    ``_extend`` over them, in ascending norm, grows the whole group, about
+    one product per class, and refuses past cap classes.  A prime is
+    skipped before its square root is taken when a walked class has it as
+    its first coefficient: that reduced form has norm ell, so both classes
+    above ell are walked already.  D is fundamental when it passes the
+    residue test mod 16 and no odd prime's square divides it; such a
+    prime is at most sqrt(|D|/3), so the walk meets it, and as it has no
+    primitive form of norm ell, it is never skipped.
+    """
+    if not _FUNDAMENTAL_MOD_16[-D % 16]:
+        return None
+
+    def mul(f: tuple, g: tuple) -> tuple:
+        return _compose(f, g, D)
+
+    index = {principal_form(D): 0}
+    norms = {1}  # the first coefficients of the walked classes
+    relations = []
+    for ell in iter_primes(isqrt(-D // 3)):
+        if ell in norms:
+            continue
+        pf = prime_form(D, ell)
+        if pf is INERT:
+            continue
+        if isinstance(pf, Ramified):
+            if ell > 2 and D % (ell * ell) == 0:
+                return None
+            pf = pf.form
+        if pf not in index:
+            start = len(index)
+            relations.append(_extend(index, pf, mul, cap=cap))
+            norms.update(f[0] for f in islice(index, start, None))
+    return _structure_of_walk(index, relations, mul)

@@ -72,7 +72,7 @@ def _cmd_classgroup(args) -> int:
     rows = []
     for disc in args.disc:
         record = class_group(disc)
-        rows.append([record.disc, record.class_number, record.factors_string()])
+        rows.append([record.disc, record.structure.order, record.factors_string()])
     rows.sort(key=lambda r: -r[0])
     return _emit(["disc", "h", "invariant_factors"], rows, args)
 
@@ -92,7 +92,7 @@ def _cmd_census(args) -> int:
 
 def _cmd_exp3scan(args) -> int:
     records = density.exponent3_scan(args.max_abs_disc, workers=args.workers)
-    rows = [[r.disc, r.class_number, r.factors_string()] for r in records]
+    rows = [[r.disc, r.structure.order, r.factors_string()] for r in records]
     return _emit(["disc", "h", "invariant_factors"], rows, args)
 
 

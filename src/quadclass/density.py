@@ -25,7 +25,13 @@ sieve settles the rest by the certified AbelianGroup a ClassGroupCache
 hands out; the divisor walk of has_suitable_divisor settles them
 by forms.exponent_divides, which powers prime forms and needs no
 structure (the exponent-3 scan asks it too).  So the sieve and its
-oracle share no verdict.
+oracle share no verdict.  For a fundamental D both start from the same
+prime forms of norm at most sqrt(|D|/3).  What keeps them apart is what
+they do with them: the structure is a coset walk over them, certified
+by its Smith form, Sylow bases and torsion counts, while
+exponent_divides powers each one on its own.  The tests check the walk
+against the grid of forms.enumerate_reduced.  forms.class_number, which
+the divisor walk asks for h past the table, stays on that grid.
 """
 
 from __future__ import annotations

@@ -14,6 +14,12 @@ inside its loops; a public function wraps the kernel's result with
 is the strike sieve ``ntheory.coprime_mask`` and a residue pattern.
 ``abelian`` builds on these forms, so ``class_group`` and
 ``ClassGroupCache._load`` import it where they run.
+
+``class_group`` grows a fundamental D's group from its prime forms, with
+no enumeration; its cost is about h products plus one prime form per
+prime up to sqrt(|D|/3), and its cap, MAX_WALKED_CLASSES, is on h.  The
+grid of ``enumerate_reduced``, O(|D|) and capped at MAX_ENUMERATED_DISC,
+is the route of the other D and the oracle of the tests.
 """
 
 from __future__ import annotations
@@ -194,10 +200,18 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
     return QuadForm._make(power(_reduce(*f, D), n, lambda x, y: _compose(x, y, D)))
 
 
-# Largest |D| enumerate_reduced (so class_group) takes.  class_group
-# took 1.0 s at |D| ~ 1e8, 1.9 s at 1e9 and 9.5 s at 1e10 (2-vCPU
-# x86-64 host); b^2 + |D| <= 4|D|/3 stays far inside int64.
+# Largest |D| enumerate_reduced takes, so the largest non-fundamental
+# D class_group takes.  The grid took 1.0 s at |D| ~ 1e8, 1.9 s at 1e9
+# and 9.5 s at 1e10 (2-vCPU x86-64 host); b^2 + |D| <= 4|D|/3 stays far
+# inside int64.
 MAX_ENUMERATED_DISC = 10**10
+
+# Largest class group class_group walks for a fundamental D, which has
+# no |D| cap: the walk refuses the coset that would pass it, so it never
+# holds more classes than this.  h = 607,074 (D = -1165935463039) took
+# 4.9 s and 199 MB max RSS, and a refusal at |D| ~ 1e14, after 712,736
+# classes, 2.3 s and 237 MB (2-vCPU x86-64 host).
+MAX_WALKED_CLASSES = 10**6
 
 
 def enumerate_reduced(D) -> list[QuadForm]:
@@ -322,8 +336,7 @@ def exponent_divides(D, n: int) -> bool:
 class ClassGroupRecord:
     disc: int
     fundamental: bool
-    class_number: int
-    structure: "AbelianGroup"  # noqa: F821 - imported lazily to avoid a cycle
+    structure: "AbelianGroup"  # noqa: F821 - imported lazily to avoid a cycle; h is its order
     generators: list  # (QuadForm, order) pairs, aligned with invariant factors
 
     def factors_string(self) -> str:
@@ -333,22 +346,24 @@ class ClassGroupRecord:
 def class_group(D) -> ClassGroupRecord:
     """Class number, invariant factors and generators for one discriminant.
 
-    Non-fundamental discriminants are accepted; the record carries the flag.
+    A fundamental D is walked over its prime forms
+    (``abelian.structure_from_prime_forms``), up to
+    MAX_WALKED_CLASSES classes.  Any other D, where a prime of the
+    conductor has no invertible prime form, takes the grid of
+    ``enumerate_reduced``, up to MAX_ENUMERATED_DISC.  Both routes give
+    the same structure and generators; the record's flag names the route.
 
     >>> class_group(-4027).structure.invariant_factors
     (3, 3)
     """
-    from .abelian import structure_from_forms
+    from .abelian import structure_from_forms, structure_from_prime_forms
 
     D = _disc_value(D)
-    forms = enumerate_reduced(D)
-    structure, generators = structure_from_forms(forms)
+    found = structure_from_prime_forms(D, MAX_WALKED_CLASSES)
+    fundamental = found is not None
+    structure, generators = found if fundamental else structure_from_forms(enumerate_reduced(D))
     return ClassGroupRecord(
-        disc=D,
-        fundamental=is_fundamental(D),
-        class_number=len(forms),
-        structure=structure,
-        generators=generators,
+        disc=D, fundamental=fundamental, structure=structure, generators=generators
     )
 
 

@@ -43,6 +43,34 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(prime_mask(limit))[0]
 
 
+def iter_primes(limit: int, run: int = 2**16):
+    """The primes up to limit, ascending, sieved in runs of run >= 2
+    integers, so that memory stays flat however far the caller reads.
+    Each run after the first is struck by the primes below the square
+    root of its end, which the runs before it found.
+
+    >>> list(iter_primes(40, run=8))
+    [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+    """
+    root = isqrt(max(limit, 0))
+    base: list[int] = []  # the primes up to root found so far
+    lo = 0
+    while lo <= limit:
+        hi = min(lo + run, limit + 1)
+        if lo == 0:
+            found = primes_up_to(hi - 1).tolist()
+        else:
+            mask = np.ones(hi - lo, dtype=bool)
+            for p in base:
+                if p * p >= hi:
+                    break
+                mask[-lo % p :: p] = False
+            found = (lo + np.flatnonzero(mask)).tolist()
+        base += [p for p in found if p <= root]
+        yield from found
+        lo = hi
+
+
 def squarefree_mask(limit: int) -> np.ndarray:
     """Boolean array s of length limit+1 with s[n] true iff n is squarefree.
 

@@ -101,7 +101,7 @@ def _report(num: str, ok: bool, t0: float, target: str, detail: str = ""):
 def test_criterion_01_class_group_4027():
     t0 = time.perf_counter()
     rec = class_group(-4027)
-    got = (rec.class_number, rec.structure.invariant_factors)
+    got = (rec.structure.order, rec.structure.invariant_factors)
     ok = got == (9, (3, 3))
     _report("01", ok, t0, "<1s", f"h={got[0]}, invariants={got[1]}")
     assert ok
@@ -157,10 +157,13 @@ def test_criterion_03_full_census_at_reference_bound():
 
 
 def test_criterion_04_class_number_65536():
+    # the sweep's count is the independent h; the prime-form walk also
+    # gives the structure, past the grid's cap
     t0 = time.perf_counter()
     h = count_reduced_forms(4 * 5000948753)
-    ok = h == 65536
-    _report("04", ok, t0, "<60s", f"disc = -4*5000948753, h = {h}")
+    structure = class_group(-4 * 5000948753).structure
+    ok = h == 65536 and structure == AbelianGroup((65536,))
+    _report("04", ok, t0, "<60s", f"disc = -4*5000948753, h = {h}, {structure}")
     assert ok
 
 
@@ -209,7 +212,7 @@ def test_criterion_06_theta_equals_euler():
     checked = 0
     for D in (-23, -31, -47, -71):
         cg = class_group(D)
-        chi = make_character(cg, cg.class_number)
+        chi = make_character(cg, cg.structure.order)
         series = euler_expansion(chi, 200)
         for n in range(1, 201):
             assert theta_coeff_oracle(chi, n) == series[n], (D, n)

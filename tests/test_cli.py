@@ -30,6 +30,25 @@ def _rows(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
+def test_classgroup_past_the_grid_cap(capsys):
+    # fundamental, so walked over prime forms; the grid refuses |D| > 1e10
+    assert _run(capsys, "classgroup", "--disc", "-6006443827").splitlines() == [
+        "disc,h,invariant_factors",
+        "-6006443827,12639,12639",
+    ]
+
+
+def test_walk_past_the_element_cap_exits_two(capsys, monkeypatch):
+    # h(-4027) = 9
+    monkeypatch.setattr(forms, "MAX_WALKED_CLASSES", 8)
+    assert main(["classgroup", "--disc", "-4027"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadclass: error: classes = 9 exceeds the class-group element budget 8"
+    ]
+
+
 def test_classgroup_rows_canonical_order(capsys):
     out = _run(capsys, "classgroup", "--disc", "-4027", "--disc", "-23")
     lines = out.strip().splitlines()

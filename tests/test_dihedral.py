@@ -130,7 +130,7 @@ def test_coefficient_value_split_shape():
 def test_theta_oracle_equals_euler_expansion_small():
     for D in (-23, -31):
         cg = class_group(D)
-        chi = make_character(cg, cg.class_number)
+        chi = make_character(cg, cg.structure.order)
         series = euler_expansion(chi, 120)
         for n in range(1, 121):
             assert theta_coeff_oracle(chi, n) == series[n], (D, n)

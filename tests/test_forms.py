@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import os
 import random
 import re
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quadclass.abelian import AbelianGroup
+from quadclass.abelian import AbelianGroup, structure_from_forms, structure_from_prime_forms
 from quadclass.forms import (
     MAX_ENUMERATED_DISC,
+    MAX_WALKED_CLASSES,
     ClassGroupCache,
     Inert,
     QuadForm,
@@ -28,6 +30,7 @@ from quadclass.forms import (
     reduce_form,
 )
 from quadclass.ntheory import ResourceLimitError, is_squarefree
+from quadclass.sweep import class_numbers
 
 from _oracles import class_number_by_box_scan, enumerate_reduced_per_a, prime_form_by_least_b
 
@@ -91,8 +94,12 @@ def test_enumerate_reduced_refuses_past_cap():
     for D in (-(MAX_ENUMERATED_DISC + 3), -10**12, -10**19):
         with pytest.raises(ResourceLimitError, match="reduced-form budget"):
             enumerate_reduced(D)
-        with pytest.raises(ResourceLimitError):
+    # class_group takes the grid, and its cap, for non-fundamental D only;
+    # the fundamental -(MAX_ENUMERATED_DISC + 3) is walked over prime forms
+    for D in (-10**12, -10**19):
+        with pytest.raises(ResourceLimitError, match="reduced-form budget"):
             class_group(D)
+    assert class_group(-(MAX_ENUMERATED_DISC + 3)).fundamental
 
 
 @pytest.mark.parametrize("abc", [(0, 1, 1), (1, 1, -1), (-2, 1, -3), (1, 2, 1)])
@@ -241,8 +248,72 @@ KNOWN_CLASS_GROUPS = {
 def test_class_group_known_structures():
     for D, (h, factors, gens) in KNOWN_CLASS_GROUPS.items():
         rec = class_group(D)
-        assert (rec.class_number, rec.structure.invariant_factors) == (h, factors), D
+        assert (rec.structure.order, rec.structure.invariant_factors) == (h, factors), D
         assert rec.generators == [(QuadForm(*g), k) for g, k in zip(gens, factors)], D
+
+
+def _fundamental_discs_near(rng: random.Random, lo: int, count: int) -> list[int]:
+    discs = set()
+    while len(discs) < count:
+        D = -rng.randrange(lo, 2 * lo)
+        if is_fundamental(D):
+            discs.add(D)
+    return sorted(discs, reverse=True)
+
+
+def _assert_walk_matches_grid(D: int) -> None:
+    walked = structure_from_prime_forms(D, MAX_WALKED_CLASSES)
+    assert walked == structure_from_forms(enumerate_reduced(D)), D
+
+
+def test_prime_form_walk_matches_grid_small_range():
+    # the whole record, generators included, on every fundamental
+    # |D| < 5000; every other D is handed back to the grid
+    for d in range(3, 5000):
+        if -d % 4 not in (0, 1):
+            continue
+        if is_fundamental(-d):
+            _assert_walk_matches_grid(-d)
+        else:
+            assert structure_from_prime_forms(-d, MAX_WALKED_CLASSES) is None, -d
+            assert not class_group(-d).fundamental
+
+
+def test_prime_form_walk_matches_grid_seeded():
+    rng = random.Random(20261020)
+    discs = (
+        _fundamental_discs_near(rng, 10**5, 20)
+        + _fundamental_discs_near(rng, 10**6, 10)
+        + _fundamental_discs_near(rng, 10**8, 3)
+    )
+    for D in discs:
+        _assert_walk_matches_grid(D)
+
+
+@pytest.mark.parametrize(
+    "X",
+    [
+        20000,
+        pytest.param(
+            10**5,
+            marks=pytest.mark.skipif(
+                not os.environ.get("QUADCLASS_ACCEPTANCE_FULL"),
+                reason="about 20 s; set QUADCLASS_ACCEPTANCE_FULL=1",
+            ),
+        ),
+    ],
+)
+def test_prime_form_walk_class_numbers_match_sweep(X):
+    h = class_numbers(X)
+    for d in np.flatnonzero(fundamental_mask(X)).tolist():
+        assert class_group(-d).structure.order == h[d], -d
+
+
+def test_prime_form_walk_refuses_past_element_cap():
+    # h(-4027) = 9: a cap of 9 walks the group, 8 refuses the last coset
+    assert structure_from_prime_forms(-4027, 9)[0] == AbelianGroup((3, 3))
+    with pytest.raises(ResourceLimitError, match="class-group element budget 8$"):
+        structure_from_prime_forms(-4027, 8)
 
 
 # sha256 of (D, invariant factors, generators with orders) over every D
@@ -267,7 +338,7 @@ def test_class_group_structure_consistent():
             continue
         rec = class_group(-d)
         assert rec.fundamental
-        assert rec.structure.order == rec.class_number == class_number_by_box_scan(-d)
+        assert rec.structure.order == class_number_by_box_scan(-d)
         factors = rec.structure.invariant_factors
         for x, y in zip(factors, factors[1:]):
             assert y % x == 0
@@ -282,7 +353,7 @@ def test_class_group_generators_generate():
         for g, d in gens:
             assert form_pow(g, d) == principal_form(D)
             span = {compose(x, form_pow(g, k)) for x in span for k in range(d)}
-        assert len(span) == rec.class_number
+        assert len(span) == rec.structure.order
 
 
 def test_ambiguous_forms_match_two_torsion():
@@ -377,7 +448,7 @@ def _exponent_queries(h: int) -> list[int]:
 
 def _check_exponent_divides(D: int) -> None:
     record = class_group(D)
-    for n in _exponent_queries(record.class_number):
+    for n in _exponent_queries(record.structure.order):
         assert exponent_divides(D, n) == (n % record.structure.exponent == 0), (D, n)
 
 

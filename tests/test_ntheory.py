@@ -10,6 +10,7 @@ from quadclass.ntheory import (
     factorize,
     is_prime,
     is_squarefree,
+    iter_primes,
     kronecker,
     multiplicative_order,
     power,
@@ -59,6 +60,17 @@ def test_primes_up_to_agrees_with_mask():
     mask = prime_mask(5000)
     ps = primes_up_to(5000)
     assert np.array_equal(np.flatnonzero(mask), ps)
+
+
+def test_iter_primes_matches_the_sieve():
+    # every short limit at several run lengths, so that each run boundary
+    # and each last partial run is met; then runs struck by primes found
+    # in earlier runs
+    for limit in range(-1, 130):
+        for run in (2, 3, 8, 2**16):
+            assert list(iter_primes(limit, run)) == primes_up_to(limit).tolist(), (limit, run)
+    for limit, run in ((10**6, 1000), (300007, 2**16)):
+        assert list(iter_primes(limit, run)) == primes_up_to(limit).tolist(), (limit, run)
 
 
 def test_squarefree_mask_matches_trial():

@@ -54,14 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, zip_longest
-from math import isqrt, prod
+from math import prod
 
 import numpy as np
 
-from .forms import (
-    _FUNDAMENTAL_MOD_16, INERT, QuadForm, Ramified, _compose, _reduce, prime_form, principal_form,
-)
-from .ntheory import check_budget, divisors, factorize, iter_primes, power, prime_to_p_part
+from .forms import QuadForm, _compose, _generating_prime_forms, _reduce, principal_form
+from .ntheory import check_budget, divisors, factorize, power, prime_to_p_part
 
 
 @dataclass(frozen=True)
@@ -556,24 +554,18 @@ def structure_from_forms(
 
 def structure_from_prime_forms(
     D: int, cap: int
-) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]] | None:
-    """What ``structure_from_forms`` returns for the full form list of D,
-    from a walk over the prime forms of D; None when D is not
-    fundamental.
+) -> tuple[AbelianGroup, list[tuple[QuadForm, int]]]:
+    """What ``structure_from_forms`` returns for the full form list of the
+    fundamental D, from a walk over its prime forms.
 
-    For fundamental D the split and ramified prime forms of norm at most
-    sqrt(|D|/3) generate Cl(D) (see ``forms.exponent_divides``), so
-    ``_extend`` over them, in ascending norm, grows the whole group, about
-    one product per class, and refuses past cap classes.  A prime is
-    skipped before its square root is taken when a walked class has it as
-    its first coefficient: that reduced form has norm ell, so both classes
-    above ell are walked already.  D is fundamental when it passes the
-    residue test mod 16 and no odd prime's square divides it; such a
-    prime is at most sqrt(|D|/3), so the walk meets it, and as it has no
-    primitive form of norm ell, it is never skipped.
+    The split and ramified prime forms of norm at most sqrt(|D|/3)
+    generate Cl(D) (``forms._generating_prime_forms``), so ``_extend``
+    over them, in ascending norm, grows the whole group, about one
+    product per class, and refuses past cap classes.  A prime is passed
+    over before its square root is taken when a walked class has it as
+    its first coefficient: that reduced form has norm ell, so both
+    classes above ell are walked already.
     """
-    if not _FUNDAMENTAL_MOD_16[-D % 16]:
-        return None
 
     def mul(f: tuple, g: tuple) -> tuple:
         return _compose(f, g, D)
@@ -581,16 +573,7 @@ def structure_from_prime_forms(
     index = {principal_form(D): 0}
     norms = {1}  # the first coefficients of the walked classes
     relations = []
-    for ell in iter_primes(isqrt(-D // 3)):
-        if ell in norms:
-            continue
-        pf = prime_form(D, ell)
-        if pf is INERT:
-            continue
-        if isinstance(pf, Ramified):
-            if ell > 2 and D % (ell * ell) == 0:
-                return None
-            pf = pf.form
+    for pf in _generating_prime_forms(D, walked=norms):
         if pf not in index:
             start = len(index)
             relations.append(_extend(index, pf, mul, cap=cap))

@@ -33,7 +33,10 @@ from math import isqrt
 
 import numpy as np
 
-from .ntheory import check_budget, coprime_mask, is_squarefree, kronecker, power, primes_up_to, sqrt_mod_prime, xgcd
+from .ntheory import (
+    check_budget, coprime_mask, is_squarefree, iter_primes, kronecker, power, primes_up_to,
+    sqrt_mod_prime, xgcd,
+)
 
 
 def is_fundamental(D: int) -> bool:
@@ -302,6 +305,21 @@ def prime_form(D, ell: int):
     return Ramified(form) if D % ell == 0 else form
 
 
+def _generating_prime_forms(D: int, walked=()):
+    """The split and ramified prime forms of the fundamental D with norm
+    at most sqrt(|D|/3), ascending in norm, as (a, b, c) tuples: they
+    generate Cl(D) (see ``exponent_divides``).  The primes come from the
+    segmented ``iter_primes``.  A prime in walked, a container the caller
+    may grow between steps, is passed over before its form is made.
+    """
+    for ell in iter_primes(isqrt(-D // 3)):
+        if ell in walked:
+            continue
+        pf = prime_form(D, ell)
+        if pf is not INERT:
+            yield pf.form if isinstance(pf, Ramified) else pf
+
+
 def exponent_divides(D, n: int) -> bool:
     """Whether n kills every class of the fundamental discriminant D,
     i.e. whether the exponent of Cl(D) divides n.
@@ -322,14 +340,9 @@ def exponent_divides(D, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     one = principal_form(D)
-    for ell in primes_up_to(isqrt(-D // 3)).tolist():
-        pf = prime_form(D, ell)
-        if pf is INERT:
-            continue
-        f = pf.form if isinstance(pf, Ramified) else pf
-        if power(f, n, lambda x, y: _compose(x, y, D)) != one:
-            return False
-    return True
+    return all(
+        power(f, n, lambda x, y: _compose(x, y, D)) == one for f in _generating_prime_forms(D)
+    )
 
 
 @dataclass
@@ -346,12 +359,13 @@ class ClassGroupRecord:
 def class_group(D) -> ClassGroupRecord:
     """Class number, invariant factors and generators for one discriminant.
 
-    A fundamental D is walked over its prime forms
+    ``is_fundamental`` picks the route before any form is composed.  A
+    fundamental D is walked over its prime forms
     (``abelian.structure_from_prime_forms``), up to
     MAX_WALKED_CLASSES classes.  Any other D, where a prime of the
     conductor has no invertible prime form, takes the grid of
     ``enumerate_reduced``, up to MAX_ENUMERATED_DISC.  Both routes give
-    the same structure and generators; the record's flag names the route.
+    the same structure and generators.
 
     >>> class_group(-4027).structure.invariant_factors
     (3, 3)
@@ -359,9 +373,11 @@ def class_group(D) -> ClassGroupRecord:
     from .abelian import structure_from_forms, structure_from_prime_forms
 
     D = _disc_value(D)
-    found = structure_from_prime_forms(D, MAX_WALKED_CLASSES)
-    fundamental = found is not None
-    structure, generators = found if fundamental else structure_from_forms(enumerate_reduced(D))
+    fundamental = is_fundamental(D)
+    if fundamental:
+        structure, generators = structure_from_prime_forms(D, MAX_WALKED_CLASSES)
+    else:
+        structure, generators = structure_from_forms(enumerate_reduced(D))
     return ClassGroupRecord(
         disc=D, fundamental=fundamental, structure=structure, generators=generators
     )

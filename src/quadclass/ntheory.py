@@ -43,20 +43,24 @@ def primes_up_to(limit: int) -> np.ndarray:
     return np.nonzero(prime_mask(limit))[0]
 
 
-def iter_primes(limit: int, run: int = 2**16):
-    """The primes up to limit, ascending, sieved in runs of run >= 2
+#: How many integers iter_primes sieves at a time.
+_PRIME_RUN = 2**16
+
+
+def iter_primes(limit: int):
+    """The primes up to limit, ascending, sieved in runs of _PRIME_RUN
     integers, so that memory stays flat however far the caller reads.
     Each run after the first is struck by the primes below the square
     root of its end, which the runs before it found.
 
-    >>> list(iter_primes(40, run=8))
+    >>> list(iter_primes(40))
     [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
     """
     root = isqrt(max(limit, 0))
     base: list[int] = []  # the primes up to root found so far
     lo = 0
     while lo <= limit:
-        hi = min(lo + run, limit + 1)
+        hi = min(lo + _PRIME_RUN, limit + 1)
         if lo == 0:
             found = primes_up_to(hi - 1).tolist()
         else:
@@ -209,9 +213,32 @@ def power(x, n: int, mul):
 
 
 def is_squarefree(n: int) -> bool:
+    """Whether no prime square divides n; false for n < 1.
+
+    Trial division runs only while d^3 <= m, the cofactor left by the
+    divisors below d.  Then every prime factor of m is at least d, so m
+    has at most two, and m fails exactly when it is a square above 1:
+    the work is about n^(1/3), not n^(1/2).
+
+    >>> [n for n in range(1, 30) if not is_squarefree(n)]
+    [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28]
+    """
     if n < 1:
         return False
-    return all(e == 1 for e in factorize(n).values())
+    for p in (2, 3):
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+    d = 5
+    while d * d * d <= n:
+        for p in (d, d + 2):
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return False
+        d += 6
+    return n == 1 or isqrt(n) ** 2 != n
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadclass import abelian
 from quadclass.abelian import AbelianGroup, structure_from_forms, structure_from_prime_forms
 from quadclass.forms import (
     MAX_ENUMERATED_DISC,
@@ -267,16 +268,23 @@ def _assert_walk_matches_grid(D: int) -> None:
 
 
 def test_prime_form_walk_matches_grid_small_range():
-    # the whole record, generators included, on every fundamental
-    # |D| < 5000; every other D is handed back to the grid
-    for d in range(3, 5000):
-        if -d % 4 not in (0, 1):
-            continue
-        if is_fundamental(-d):
-            _assert_walk_matches_grid(-d)
-        else:
-            assert structure_from_prime_forms(-d, MAX_WALKED_CLASSES) is None, -d
-            assert not class_group(-d).fundamental
+    # the whole record, generators included, on every fundamental |D| < 5000
+    for d in np.flatnonzero(fundamental_mask(4999)).tolist():
+        _assert_walk_matches_grid(-d)
+
+
+def test_non_fundamental_past_the_grid_cap_refused_without_a_walk(monkeypatch):
+    # D = -3 p^2, |D| ~ 1.2e13: h ~ p/3 is under the element cap, so a
+    # walk would grow the whole ring class group before meeting p; the
+    # route is picked first and the grid refuses at once
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a non-fundamental D")
+
+    monkeypatch.setattr(abelian, "_extend", no_walk)
+    D = -3 * 2000003**2
+    assert not is_fundamental(D)
+    with pytest.raises(ResourceLimitError, match="reduced-form budget"):
+        class_group(D)
 
 
 def test_prime_form_walk_matches_grid_seeded():

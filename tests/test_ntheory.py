@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quadclass import ntheory
 from quadclass.ntheory import (
     coprime_mask,
     divisors,
@@ -62,15 +63,19 @@ def test_primes_up_to_agrees_with_mask():
     assert np.array_equal(np.flatnonzero(mask), ps)
 
 
-def test_iter_primes_matches_the_sieve():
+@pytest.mark.parametrize("run", [2, 3, 8, 1000])
+def test_iter_primes_matches_the_sieve(monkeypatch, run):
     # every short limit at several run lengths, so that each run boundary
     # and each last partial run is met; then runs struck by primes found
     # in earlier runs
-    for limit in range(-1, 130):
-        for run in (2, 3, 8, 2**16):
-            assert list(iter_primes(limit, run)) == primes_up_to(limit).tolist(), (limit, run)
-    for limit, run in ((10**6, 1000), (300007, 2**16)):
-        assert list(iter_primes(limit, run)) == primes_up_to(limit).tolist(), (limit, run)
+    monkeypatch.setattr(ntheory, "_PRIME_RUN", run)
+    for limit in [*range(-1, 130), 20011]:
+        assert list(iter_primes(limit)) == primes_up_to(limit).tolist(), (limit, run)
+
+
+def test_iter_primes_at_the_default_run():
+    for limit in (129, 2**16 - 1, 2**16, 300007):
+        assert list(iter_primes(limit)) == primes_up_to(limit).tolist(), limit
 
 
 def test_squarefree_mask_matches_trial():
@@ -284,3 +289,16 @@ def test_is_squarefree_agrees_with_mask():
     mask = squarefree_mask(2000)
     for n in range(1, 2001):
         assert is_squarefree(n) == bool(mask[n])
+
+
+def test_is_squarefree_past_the_cube_root():
+    # trial division stops near n^(1/3); the cofactor above it has at
+    # most two prime factors, and a prime square among them is caught
+    p, q = 1000003, 1000033
+    assert not is_squarefree(p * p)
+    assert not is_squarefree(3 * p * p)
+    assert not is_squarefree(49 * p * q)
+    assert is_squarefree(p * q) and is_squarefree(30 * p * q)
+    assert is_squarefree(p) and is_squarefree(2 * p)
+    assert not is_squarefree(p**3)
+    assert is_squarefree(0) is False

@@ -5,19 +5,33 @@ a <= c <= (b^2 + X) / 4a touches every reduced form of every
 discriminant down to -X once, so tabulating h for a million fields
 costs O(X^{3/2}) instead of a million separate enumerations.
 
-The kernel is numpy and periodic.  Fix a and let m = 4a.  The forms
-with c > a put weight 1 (b in {0, a}) or 2 (otherwise) on every
-n = 4ac - b^2, so on n = -b^2 mod m; once n reaches n0 = 4a^2 + 4a
-every b has started, and from there the contribution of a is exactly
-periodic with period m.  _sweep_range(lo, hi) counts [lo, hi) in two
-parts.  Below n0 it adds the points one by one: every c = a term and
-the first ceil(b^2/m) terms c > a of each b, about a^2/12 per a.  From
-n0 on it walks the range in L2-sized blocks and adds each a's pattern,
-tiled to a row of at least _MIN_ROW entries, as one reshaped 2D add per
-block.  The row of a also carries a/2, a/4, ... (their periods divide
-m), so a adds its own row only until the row of 2a takes over at
-n0(2a).  Rows are held for one group of consecutive a at a time, at
-most _PATTERN_BUDGET entries.
+The kernel is numpy and periodic.  Every n = 4ac - b^2 is 0 or 3
+(mod 4), so the sweep indexes its counts by i = n >> 1, a bijection
+from those n onto the integers (4q -> 2q, 4q + 3 -> 2q + 1) that skips
+the n = 1, 2 (mod 4) that are never discriminants: half the entries,
+and half the adds.  Fix a.  The forms with c > a put weight 1 (b in
+{0, a}) or 2 (otherwise) on every n = 4ac - b^2, so on n = -b^2 mod 4a;
+once n reaches n0 = 4a^2 + 4a, at i0 = 2a^2 + 2a, every b has started,
+and from there the contribution of a is exactly periodic in i with
+period 2a (entry j is the weight at n = 2j + (j & 1) mod 4a).
+_sweep_range(lo, hi) sweeps [lo, hi) in two parts.  Below i0 it adds
+the points one by one: every c = a term and the first ceil(b^2/4a)
+terms c > a of each b, about a^2/12 per a.  It takes a in descending
+order: those temporaries grow with a, so the largest come first and
+the allocator reuses their memory instead of mapping and faulting in
+a larger block for each new a (a fresh interpreter's sweep to 4e6
+takes under a third of the page faults of ascending order).  From i0
+on it walks the range in L2-sized blocks and adds each a's pattern,
+tiled to a row of at least _MIN_ROW entries, as one reshaped 2D add
+per block.  The row of a also carries a/2, a/4, ... (their periods
+divide 2a), so a adds its own row only until the row of 2a takes over
+at i0(2a).  Rows are held for one group of consecutive a at a time, in
+one buffer of _PATTERN_BUDGET entries: one large block that goes back
+to the system when the sweep ends, where hundreds of small rows would
+leave the heap fragmented for the rest of the process.
+The sweep runs in the front half of the n-indexed output array, which
+is then spread out in place, top down, to n = 2i + (i & 1), with the
+n = 1, 2 (mod 4) entries zeroed, so no second full-length array is held.
 
 The kernel counts all reduced forms, primitive or not.  Fundamental
 discriminants admit no imprimitive forms (a common factor g of
@@ -50,7 +64,7 @@ from .forms import fundamental_mask
 from .ntheory import check_budget
 
 #: The sweep kernel in use; numpy is the only one.
-BACKEND = "python"
+BACKEND = "numpy"
 
 
 #: Largest X accepted by class_numbers without an explicit budget
@@ -59,21 +73,27 @@ DEFAULT_CLASS_DATA_BUDGET = 4_000_000
 
 #: Entries of the count array one block covers: 1 MiB of int32, inside L2.
 _BLOCK = 1 << 18
-#: Pattern-row entries held at once (1 MiB of int32); the rows of one
-#: group of consecutive a are added over every block before the next
-#: group's rows are built.
+#: Pattern-row entries held at once, in one buffer (1 MiB of int32); the
+#: rows of one group of consecutive a are added over every block before
+#: the next group's rows are built.
 _PATTERN_BUDGET = 1 << 18
 #: Shortest pattern row, so that numpy's inner loop stays long for small a.
 _MIN_ROW = 1024
 
 
+def _half(n: int) -> int:
+    """The first index i with n(i) = 2i + (i & 1) >= n."""
+    return (n >> 1) + (n & 3 == 1)
+
+
 def _pattern_row(a: int) -> np.ndarray:
-    """The periodic weights of a, a/2, a/4, ... at n mod 4a, tiled to a
-    row of k + 1 periods with k * 4a >= _MIN_ROW.
+    """The periodic weights of a, a/2, a/4, ... at i mod 2a, tiled to a
+    row of k + 1 periods with k * 2a >= _MIN_ROW.
 
     The forms (a, b, c) with c > a put weight 1 (b in {0, a}) or 2 on
     n = -b^2 mod 4a; a halving a' = a / 2^j repeats with a period that
-    divides 4a.
+    divides 4a.  Of each four residues n = 4q + r only r = 0 and r = 3
+    (i = 2q and 2q + 1) are ever discriminants.
     """
     m = 4 * a
     pattern = np.zeros(m, dtype=np.int64)
@@ -85,30 +105,98 @@ def _pattern_row(a: int) -> np.ndarray:
         if sub % 2:
             break
         sub, reps = sub // 2, reps * 2
-    return np.tile(pattern.astype(np.int32), -(-_MIN_ROW // m) + 1)
+    pattern = pattern.reshape(a, 4)[:, ::3].astype(np.int32).ravel()
+    return np.tile(pattern, -(-_MIN_ROW // (2 * a)) + 1)
 
 
-def _add_prefix(counts: np.ndarray, lo: int, hi: int, a: int) -> None:
-    """Add the forms of a with n = 4ac - b^2 < n0 = 4a^2 + 4a, n in
-    [lo, hi), into counts[n - lo]: every c = a term, and the first
-    ceil(b^2 / 4a) terms c > a of each b."""
-    m = 4 * a
+def _add_prefix(half: np.ndarray, ilo: int, ihi: int, a: int) -> None:
+    """Add the forms of a with n = 4ac - b^2 < n0 = 4a^2 + 4a, n >> 1 in
+    [ilo, ihi), into half[(n >> 1) - ilo]: every c = a term, and the
+    first ceil(b^2 / 4a) terms c > a of each b."""
+    m, p = 4 * a, 2 * a
     b = np.arange(a + 1, dtype=np.int64)
-    first = 4 * a * a - b * b
-    first = first[(first >= lo) & (first < hi)] - lo
-    np.add.at(counts, first, np.int32(1))
-    # b's terms c > a run n = start + m*j, j in [j0, j1)
-    start = 4 * a * a + m - b * b
-    j0 = np.maximum(-((start - lo) // m), 0)
-    j1 = np.minimum(-(-(b * b) // m), -((start - hi) // m))
+    first = (4 * a * a - b * b) >> 1
+    first = first[(first >= ilo) & (first < ihi)] - ilo
+    np.add.at(half, first, np.int32(1))
+    # b's terms c > a run i = start + p*j, j in [j0, j1)
+    start = (4 * a * a + m - b * b) >> 1
+    j0 = np.maximum(-((start - ilo) // p), 0)
+    j1 = np.minimum(-(-(b * b) // m), -((start - ihi) // p))
     k = np.maximum(j1 - j0, 0)
     before = np.cumsum(k) - k
-    n = np.arange(0, m * int(k.sum()), m, dtype=np.int64)
-    n += np.repeat(start + m * (j0 - before) - lo, k)
+    i = np.arange(0, p * int(k.sum()), p, dtype=np.int64)
+    i += np.repeat(start + p * (j0 - before) - ilo, k)
     # b = a, the last run, weighs 1; every other b > 0 weighs 2
-    split = n.size - int(k[-1])
-    np.add.at(counts, n[:split], np.int32(2))
-    np.add.at(counts, n[split:], np.int32(1))
+    split = i.size - int(k[-1])
+    np.add.at(half, i[:split], np.int32(2))
+    np.add.at(half, i[split:], np.int32(1))
+
+
+def _spread(counts: np.ndarray, lo: int, ilo: int, size: int) -> None:
+    """Move half = counts[:size], indexed by i - ilo, to counts[n(i) - lo]
+    with n(i) = 2i + (i & 1), and zero every n = 1, 2 (mod 4).
+
+    n(i) - lo >= i - ilo, so blocks moved from the top down never
+    overwrite an entry not yet read; each block goes through one buffer
+    because its own targets may overlap it.
+    """
+    buf = np.empty(min(size, _BLOCK), dtype=np.int32)
+    for s in range((size - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        chunk = buf[: min(size - s, _BLOCK)]
+        chunk[:] = counts[s : s + chunk.size]
+        for r in (0, 1):
+            # the block's first i of parity r; those of n = 4q + 3r follow
+            # every second entry
+            i = ilo + s + ((ilo + s + r) & 1)
+            dst = 2 * i + (i & 1) - lo
+            src = chunk[i - ilo - s :: 2]
+            counts[dst : dst + 4 * src.size : 4] = src
+    for r in (1, 2):
+        counts[(r - lo) % 4 :: 4] = 0
+
+
+def _sweep_half(half: np.ndarray, ilo: int, ihi: int) -> None:
+    """Add into half[i - ilo] the number of reduced forms with
+    (4ac - b^2) >> 1 = i, for i in [ilo, ihi)."""
+    # a form of a has n >= 3a^2; below i0(a) = 2a^2 + 2a it is added
+    # point by point, largest a first so that the allocator reuses the
+    # largest temporaries
+    for a in range(isqrt((2 * ihi - 1) // 3), 0, -1):
+        if 2 * a * a + 2 * a > ilo:
+            _add_prefix(half, ilo, ihi, a)
+    # a adds its row over [i0(a), i0(2a)); from i0(2a) on the row of 2a
+    # carries it
+    a = 1
+    while 8 * a * a + 4 * a <= ilo:
+        a += 1
+    # a < sqrt(ihi / 2), and a row has fewer than 4a + _MIN_ROW entries
+    store = np.empty(max(_PATTERN_BUDGET, 4 * isqrt(ihi // 2) + _MIN_ROW), dtype=np.int32)
+    while 2 * a * a + 2 * a < ihi:
+        group, held = [], 0
+        while 2 * a * a + 2 * a < ihi and (
+            not group or held + 4 * a + _MIN_ROW <= _PATTERN_BUDGET
+        ):
+            row = _pattern_row(a)
+            store[held : held + row.size] = row
+            row = store[held : held + row.size]
+            group.append((2 * a * a + 2 * a, min(ihi, 8 * a * a + 4 * a), 2 * a, row))
+            held += row.size
+            a += 1
+        for block in range(max(ilo, group[0][0]), ihi, _BLOCK):
+            block_end = min(block + _BLOCK, ihi)
+            for i0, end, p, row in group:
+                if i0 >= block_end:
+                    break
+                s, e = max(block, i0), min(block_end, end)
+                if s >= e:
+                    continue
+                phase, width = s % p, row.size - p
+                rows = (e - s) // width
+                i = s - ilo
+                body = half[i : i + rows * width].reshape(rows, width)
+                body += row[phase : phase + width]
+                i += rows * width
+                half[i : e - ilo] += row[phase : phase + e - ilo - i]
 
 
 def _sweep_range(lo: int, hi: int) -> np.ndarray:
@@ -117,40 +205,12 @@ def _sweep_range(lo: int, hi: int) -> np.ndarray:
     counts = np.zeros(max(hi - lo, 0), dtype=np.int32)
     if hi <= 3:
         return counts
-    # a form of a has n >= 3a^2; from n0(a) = 4a^2 + 4a on it is periodic
-    for a in range(1, isqrt((hi - 1) // 3) + 1):
-        if 4 * a * a + 4 * a > lo:
-            _add_prefix(counts, lo, hi, a)
-    # a adds its row over [n0(a), n0(2a)); from n0(2a) on the row of 2a
-    # carries it
-    a = 1
-    while 16 * a * a + 8 * a <= lo:
-        a += 1
-    while 4 * a * a + 4 * a < hi:
-        group, held = [], 0
-        # a row has fewer than 8a + _MIN_ROW entries
-        while 4 * a * a + 4 * a < hi and (
-            not group or held + 8 * a + _MIN_ROW <= _PATTERN_BUDGET
-        ):
-            row = _pattern_row(a)
-            group.append((4 * a * a + 4 * a, min(hi, 16 * a * a + 8 * a), 4 * a, row))
-            held += row.size
-            a += 1
-        for block in range(max(lo, group[0][0]), hi, _BLOCK):
-            block_end = min(block + _BLOCK, hi)
-            for n0, end, m, row in group:
-                if n0 >= block_end:
-                    break
-                s, e = max(block, n0), min(block_end, end)
-                if s >= e:
-                    continue
-                phase, width = s % m, row.size - m
-                rows = (e - s) // width
-                i = s - lo
-                body = counts[i : i + rows * width].reshape(rows, width)
-                body += row[phase : phase + width]
-                i += rows * width
-                counts[i : e - lo] += row[phase : phase + e - lo - i]
+    # n = 4ac - b^2 is 0 or 3 mod 4, so i = n >> 1 indexes the
+    # discriminants alone: sweep them into the front of counts, then
+    # spread them out to their n
+    ilo, ihi = _half(lo), _half(hi)
+    _sweep_half(counts[: ihi - ilo], ilo, ihi)
+    _spread(counts, lo, ilo, ihi - ilo)
     return counts
 
 

@@ -137,10 +137,12 @@ def test_table_is_int32_and_read_only():
     assert np.array_equal(table, np.where(fundamental_mask(3000), sweep_counts_by_strides(3000), 0))
 
 
-def test_sweep_memory_within_budget():
+@pytest.mark.parametrize("X", [200_000, 1_100_003])
+def test_sweep_memory_within_budget(X):
     # the int32 counts, plus at most _PATTERN_BUDGET int32 pattern entries
-    # and, per a, its prefix points (about X/36 int64 values) and pattern
-    X = 200_000
+    # and, per a, its prefix points (about X/36 int64 values) and pattern;
+    # 1_100_003 spans several blocks, so the discriminant-indexed sweep
+    # must run inside the output array, not beside a second one
     tracemalloc.start()
     try:
         sweep_counts(X, workers=1)
@@ -150,11 +152,11 @@ def test_sweep_memory_within_budget():
     assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
 
 
-def test_table_build_memory_within_budget(monkeypatch):
+@pytest.mark.parametrize("X", [200_000, 1_100_003])
+def test_table_build_memory_within_budget(monkeypatch, X):
     # from an empty store: the int32 table, the sweep's pattern rows, and
     # at most 3 more bytes per |D| for the fundamental mask and its
     # complement; no int64 array of length X+1
-    X = 200_000
     monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
     tracemalloc.start()
     try:
@@ -163,3 +165,36 @@ def test_table_build_memory_within_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + 3 * (X + 1)
+
+
+@pytest.mark.parametrize("limit", [40_000, 40_001, 40_002, 40_003])
+def test_strided_oracle_across_blocks_and_groups(monkeypatch, limit):
+    # small blocks and row groups put many hand-offs between blocks,
+    # between groups, and between the swept half array and its spread
+    # into every residue of |D| mod 4
+    monkeypatch.setattr(sweep, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(sweep, "_PATTERN_BUDGET", 1 << 12)
+    assert np.array_equal(sweep_counts(limit), sweep_counts_by_strides(limit))
+
+
+def test_strided_oracle_over_several_blocks():
+    X = 1_100_003
+    assert X // 2 > 2 * sweep._BLOCK
+    assert np.array_equal(sweep_counts(X), sweep_counts_by_strides(X))
+
+
+def test_range_cuts_at_every_residue(monkeypatch):
+    X = 60_002
+    want = sweep_counts_by_strides(X)
+    monkeypatch.setattr(sweep, "_BLOCK", 1 << 12)
+    cuts = [0, 2, 6, 7, 1001, _n0(40) + 2, 10_002, 30_001, 44_443, X + 1]
+    assert {c % 4 for c in cuts} == {0, 1, 2, 3}
+    assert cuts == sorted(cuts)
+    parts = [sweep._sweep_range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    assert np.array_equal(np.concatenate(parts), want)
+
+
+@pytest.mark.parametrize("X", [30_001, 30_002])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_worker_ranges_match_strided_oracle(X, workers):
+    assert np.array_equal(sweep_counts(X, workers=workers), sweep_counts_by_strides(X))

@@ -4,7 +4,7 @@ Every subcommand computes rows in a canonical order (ascending |D|,
 ascending prime) and emits them as CSV (default) or as a JSON array of
 objects keyed by the CSV header, so fixed inputs give byte-identical
 output regardless of worker count.  Rows are written to --output or
-stdout as they are formatted (JSON 4096 rows at a time), never held as
+stdout as they are formatted (_RUN rows at a time), never held as
 a second copy of the whole output.  Every
 bad input, whether argparse or a subcommand refuses it, exits 2 with
 one line ``quadclass: error: <msg>`` on stderr.
@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 from . import cohen_lenstra, density, dihedral
 from .abelian import is_p_suitable
@@ -38,6 +38,10 @@ CACHE_ENV = "QUADCLASS_CACHE"
 #: near the cap, 999999999959 (phi(h)/2 prime), answers in 0.18 s.
 MAX_TRACE_ORDER = 10**12
 
+#: Rows formatted at a time: batch lists the table's entries as Python
+#: ints this many at a time, and JSON is encoded this many at a time.
+_RUN = 4096
+
 
 def _emit(headers: list[str], rows, args) -> int:
     """Write rows (any iterable) to --output or stdout as they come; the
@@ -48,9 +52,9 @@ def _emit(headers: list[str], rows, args) -> int:
             writer.writerow(headers)
             writer.writerows(rows)
         else:
-            # json.dumps of 4096 rows at a time, less its "[\n" and "\n]"
+            # json.dumps of _RUN rows at a time, less its "[\n" and "\n]"
             rows, sep = iter(rows), "[\n"
-            while chunk := list(islice(rows, 4096)):
+            while chunk := list(islice(rows, _RUN)):
                 fh.write(sep + json.dumps([dict(zip(headers, r)) for r in chunk], indent=2)[2:-2])
                 sep = ",\n"
             fh.write("[]\n" if sep == "[\n" else "\n]\n")
@@ -79,7 +83,12 @@ def _cmd_classgroup(args) -> int:
 
 def _cmd_batch(args) -> int:
     ns, hs = batch_class_numbers(args.max_abs_disc, workers=args.workers)
-    return _emit(["disc", "h"], zip((-ns).tolist(), hs.tolist()), args)
+    # _RUN rows at a time become Python ints, never the whole listing
+    runs = (
+        zip((-ns[s : s + _RUN]).tolist(), hs[s : s + _RUN].tolist())
+        for s in range(0, ns.size, _RUN)
+    )
+    return _emit(["disc", "h"], chain.from_iterable(runs), args)
 
 
 def _cmd_census(args) -> int:

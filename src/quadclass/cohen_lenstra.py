@@ -23,7 +23,7 @@ import numpy as np
 
 from .abelian import AbelianGroup, aut_order
 from .ntheory import check_budget, coprime_mask, factorize, is_prime, primes_up_to
-from .sweep import class_numbers
+from .sweep import blocks, class_numbers
 
 DEFAULT_ENUM_BUDGET = 1_000_000
 
@@ -179,6 +179,11 @@ def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityCom
     fund = int(np.count_nonzero(counts))
     if fund == 0:
         raise ValueError(f"no fundamental discriminants up to {X}")
+    divisible = 0
     # a p past every class number divides none (and is past int32)
-    divisible = 0 if p > counts.max() else int(np.count_nonzero((counts > 0) & (counts % p == 0)))
+    if p <= counts.max():
+        # p divides every entry 0 too: those are the non-fundamental |D|
+        for _, block in blocks(counts):
+            divisible += int(np.count_nonzero(block % p == 0))
+        divisible -= counts.size - fund
     return DivisibilityComparison(p, X, divisible, fund, predicted_divisibility(p))

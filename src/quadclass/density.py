@@ -50,7 +50,7 @@ from .ntheory import (
     SIEVE_BUDGET, check_budget, coprime_mask, factorize, is_squarefree, prime_to_p_part,
     primes_up_to, squarefree_mask, totient,
 )
-from .sweep import class_numbers
+from .sweep import blocks, class_numbers
 
 # Strict bound under which the reference census counts for orders 128
 # and 512 (3722 and 18046) are reproduced.  Order 256 is complete long
@@ -265,7 +265,8 @@ def exponent3_scan(X: int, workers: int = 1) -> list:
         h *= 3
     return [
         class_group(-n)
-        for n in np.nonzero(np.isin(counts, powers))[0].tolist()
+        for start, block in blocks(counts)
+        for n in (start + np.flatnonzero(np.isin(block, powers))).tolist()
         if counts[n] == 3 or exponent_divides(-n, 3)
     ]
 
@@ -287,7 +288,11 @@ def class_order_census(
     if orders and orders[0] < 1:
         raise ValueError("orders must be >= 1")
     counts = class_numbers(X, workers=workers, budget=budget)[:X]
-    return {int(h): int(np.count_nonzero(counts == h)) for h in orders}
+    tally = {int(h): 0 for h in orders}
+    for _, block in blocks(counts):
+        for h in tally:
+            tally[h] += int(np.count_nonzero(block == h))
+    return tally
 
 
 # ------------------------------------------------- suitable-divisor density

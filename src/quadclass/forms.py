@@ -10,8 +10,10 @@ that the form is positive definite.  The arithmetic (``_reduce``,
 ``_compose``, and ``ntheory.power`` over ``_compose``) takes such tuples
 as they are, with the discriminant passed in, and validates nothing
 inside its loops; a public function wraps the kernel's result with
-``QuadForm._make``, which does not validate again.  ``fundamental_mask``
-is the strike sieve ``ntheory.coprime_mask`` and a residue pattern.
+``QuadForm._make``, which does not validate again.  ``keep_fundamental``
+is the strike of ``ntheory.strike`` and a residue pattern, in place on
+any array: ``fundamental_mask`` applies it to a bool array, and the
+class-number table to its counts.
 ``abelian`` builds on these forms, so ``class_group`` and
 ``ClassGroupCache._load`` import it where they run.
 
@@ -34,8 +36,8 @@ from math import isqrt
 import numpy as np
 
 from .ntheory import (
-    check_budget, coprime_mask, is_squarefree, iter_primes, kronecker, power, primes_up_to,
-    sqrt_mod_prime, xgcd,
+    check_budget, is_squarefree, iter_primes, kronecker, power, primes_up_to, sqrt_mod_prime,
+    strike, xgcd,
 )
 
 
@@ -60,20 +62,36 @@ def is_fundamental(D: int) -> bool:
 _FUNDAMENTAL_MOD_16 = np.isin(np.arange(16), (3, 4, 7, 8, 11, 15))
 
 
+def keep_fundamental(values: np.ndarray) -> np.ndarray:
+    """Zero values[n] in place for every n with -n not fundamental, and
+    return values; any dtype, so it filters the class-number table as
+    it builds fundamental_mask.  It strikes the multiples of the odd
+    prime squares (ntheory.strike) and keeps n = 3, 4, 7, 8, 11 or
+    15 mod 16 by a 16-entry pattern; nothing of the array's length is
+    allocated.
+
+    >>> keep_fundamental(np.arange(25)).tolist()[15:]
+    [15, 0, 0, 0, 19, 20, 0, 0, 23, 24]
+    """
+    odd_primes = primes_up_to(isqrt(max(values.size - 1, 0))).tolist()[1:]
+    strike(values, [q * q for q in odd_primes])
+    whole = values.size - values.size % 16
+    rows = values[:whole].reshape(-1, 16)
+    rows *= _FUNDAMENTAL_MOD_16
+    tail = values[whole:]
+    tail *= _FUNDAMENTAL_MOD_16[: tail.size]
+    return values
+
+
 def fundamental_mask(limit: int) -> np.ndarray:
     """Boolean array f of length limit+1: f[n] true iff -n is fundamental,
     i.e. n = 3, 4, 7, 8, 11 or 15 mod 16 and no odd prime square divides
-    n.  The residue pattern is anded in place: no other array of length
-    limit+1 is made.
+    n.
 
     >>> np.nonzero(fundamental_mask(24))[0].tolist()
     [3, 4, 7, 8, 11, 15, 19, 20, 23, 24]
     """
-    odd_primes = primes_up_to(isqrt(max(limit, 0))).tolist()[1:]
-    mask = coprime_mask(limit | 15, [q * q for q in odd_primes])  # whole 16-entry periods
-    rows = mask.reshape(-1, 16)
-    rows &= _FUNDAMENTAL_MOD_16
-    return mask[: limit + 1]
+    return keep_fundamental(np.ones(limit + 1, dtype=bool))
 
 
 def _disc_value(D) -> int:

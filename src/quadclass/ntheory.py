@@ -1,8 +1,9 @@
 """Elementary number theory shared by the other modules.
 
 Everything here is deterministic and exact; sieves return numpy arrays,
-scalar helpers work on plain Python ints.  Every integer-set mask is the
-strike sieve coprime_mask, power is the one binary powering loop, and
+scalar helpers work on plain Python ints.  Every integer-set mask, and
+the filter of the class-number table, goes through strike, the one
+in-place strike of multiples; power is the one binary powering loop, and
 check_budget is the one resource guard: it raises ResourceLimitError.
 """
 
@@ -94,6 +95,18 @@ def smallest_prime_factor(limit: int) -> np.ndarray:
     return spf
 
 
+def strike(values: np.ndarray, moduli) -> np.ndarray:
+    """Zero values[n] in place for every n >= 1 that a listed modulus
+    divides, and return values; any dtype, no allocation.
+
+    >>> strike(np.arange(10), [3, 4]).tolist()
+    [0, 1, 2, 0, 0, 5, 0, 7, 0, 0]
+    """
+    for q in moduli:
+        values[q::q] = 0
+    return values
+
+
 def coprime_mask(limit: int, moduli) -> np.ndarray:
     """Boolean array c of length limit+1 with c[n] true iff n >= 1 and
     no listed modulus divides n; the array is the only allocation.
@@ -105,9 +118,7 @@ def coprime_mask(limit: int, moduli) -> np.ndarray:
     """
     mask = np.ones(limit + 1, dtype=bool)
     mask[:1] = False
-    for q in moduli:
-        mask[q::q] = False
-    return mask
+    return strike(mask, moduli)
 
 
 # The first thirteen primes as Miller-Rabin bases decide primality

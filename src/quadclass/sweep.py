@@ -38,11 +38,22 @@ discriminants admit no imprimitive forms (a common factor g of
 a, b, c puts g^2 into the discriminant in a way the fundamentality
 conditions rule out), so restricting output to fundamental D makes
 the raw count equal h(D).  class_numbers applies that restriction
-once and keeps the result as the single class-number table every scan
-reads, as int32 (4 bytes per |D|; h stays far below 2^31 at any
-reachable X); the raw counter is exposed for tests.  class_numbers
+once, in place: forms.keep_fundamental zeroes the counts of the
+non-fundamental |D| (the strike of the odd prime squares and the
+mod-16 residue pattern that also build forms.fundamental_mask), so no
+mask of length X is made.  The result is the single class-number table
+every scan reads, as int32 (4 bytes per |D|; h stays far below 2^31 at
+any reachable X); the raw counter is exposed for tests.  class_numbers
 also owns the class-data budget (its budget argument overrides the
 cap), and batch_class_numbers only lists the table's nonzero entries.
+
+The table's consumers read it through blocks(), _BLOCK entries at a
+time, so none of their temporaries has the table's length.  That
+matters for resident memory, not only for the peak: once the sweep has
+freed a large temporary, glibc raises its mmap threshold, so later
+allocations of a few MB come from the heap, which mostly keeps freed
+memory resident where an unmapped block would have been returned.
+Length-X masks made after the sweep would stay in the process's RSS.
 
 sweep_counts(X, workers=k) splits [0, X] into k ranges of |D| of
 about equal work, cut near X * (i/k)^(2/3) since the work below n
@@ -60,7 +71,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .forms import fundamental_mask
+from .forms import keep_fundamental
 from .ntheory import check_budget
 
 #: The sweep kernel in use; numpy is the only one.
@@ -91,21 +102,18 @@ def _pattern_row(a: int) -> np.ndarray:
     row of k + 1 periods with k * 2a >= _MIN_ROW.
 
     The forms (a, b, c) with c > a put weight 1 (b in {0, a}) or 2 on
-    n = -b^2 mod 4a; a halving a' = a / 2^j repeats with a period that
-    divides 4a.  Of each four residues n = 4q + r only r = 0 and r = 3
-    (i = 2q and 2q + 1) are ever discriminants.
+    n = -b^2 mod 4a, which is 0 or 3 mod 4, so at i = n >> 1 mod 2a; a
+    halving a' = a / 2^j repeats with a period 2a' in i that divides 2a.
     """
-    m = 4 * a
-    pattern = np.zeros(m, dtype=np.int64)
+    pattern = np.zeros(2 * a, dtype=np.int32)
     sub, reps = a, 1
     while True:
-        r = -(np.arange(sub + 1, dtype=np.int64) ** 2) % (4 * sub)
-        part = np.bincount(r, minlength=4 * sub) + np.bincount(r[1:sub], minlength=4 * sub)
-        pattern += np.tile(part, reps)
+        i = (-(np.arange(sub + 1, dtype=np.int64) ** 2) % (4 * sub)) >> 1
+        part = np.bincount(i, minlength=2 * sub) + np.bincount(i[1:sub], minlength=2 * sub)
+        pattern += np.tile(part.astype(np.int32), reps)
         if sub % 2:
             break
         sub, reps = sub // 2, reps * 2
-    pattern = pattern.reshape(a, 4)[:, ::3].astype(np.int32).ravel()
     return np.tile(pattern, -(-_MIN_ROW // (2 * a)) + 1)
 
 
@@ -283,11 +291,18 @@ def class_numbers(
     cap = DEFAULT_CLASS_DATA_BUDGET if budget is None else budget
     check_budget("X", limit, cap, "class-data")
     if _store.size <= limit:
-        counts = sweep_counts(limit, workers=workers)
-        counts[~fundamental_mask(limit)] = 0
+        counts = keep_fundamental(sweep_counts(limit, workers=workers))
         counts.flags.writeable = False
         _store = counts
     return _store[: limit + 1]
+
+
+def blocks(table: np.ndarray):
+    """(start, table[start : start + _BLOCK]) for start = 0, _BLOCK, ...:
+    the table's consumers count block by block, so that no temporary
+    of theirs has the table's length."""
+    for start in range(0, table.size, _BLOCK):
+        yield start, table[start : start + _BLOCK]
 
 
 def batch_class_numbers(limit: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:

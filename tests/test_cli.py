@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -15,9 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quadclass
-from quadclass import forms, sweep
-from quadclass.cli import CACHE_ENV, MAX_TRACE_ORDER, build_parser, main
+from quadclass import cli, cohen_lenstra, density, forms, sweep
+from quadclass.cli import CACHE_ENV, MAX_TRACE_ORDER, _parser, build_parser, main
+from quadclass.forms import fundamental_mask
 from quadclass.ntheory import factorize
+
+from _oracles import sweep_counts_by_strides
 
 
 def _run(capsys, *argv) -> str:
@@ -373,6 +377,82 @@ SWEEP_OUTPUT_SHA256 = {
 def test_sweep_output_pinned(capsys, command):
     out = _run(capsys, *command.split())
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_OUTPUT_SHA256[command]
+
+
+# the table's consumers, each read through cli.main once the table is built
+TABLE_CONSUMERS = {
+    "census": ["census", "--max-abs-disc", "{X}", "--orders", "1,2,3,128,256,512"],
+    "clcompare": ["clcompare", "--p", "3", "--p", "5", "--bound", "{X}"],
+    "exp3scan": ["exp3scan", "--max-abs-disc", "{X}"],
+    "batch": ["batch", "--max-abs-disc", "{X}"],
+    "batch-json": ["--format", "json", "batch", "--max-abs-disc", "{X}"],
+}
+
+
+def _traced_peak(argv: list[str]) -> int:
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def table_1100003(monkeypatch):
+    # an empty store, then a table for every bound the tests below read
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    sweep.class_numbers(1_100_003)
+    _parser()
+
+
+@pytest.mark.parametrize("name", ["census", "clcompare", "exp3scan"])
+def test_scan_consumers_count_in_blocks(tmp_path, table_1100003, name):
+    # no temporary of the table's length: 1_100_003 spans four blocks, and
+    # at 300_000 the first block is already whole
+    argv = ["--output", str(tmp_path / "out"), *TABLE_CONSUMERS[name]]
+    small, large = (_traced_peak([a.format(X=X) for a in argv]) for X in (300_000, 1_100_003))
+    assert large < 2 * 2**20
+    assert large <= small + 64 * 2**10
+
+
+@pytest.mark.parametrize("name", ["batch", "batch-json"])
+def test_batch_streams_its_rows(tmp_path, table_1100003, name):
+    # 333k rows; listing them all as Python ints at once would take 24 MiB
+    argv = ["--output", str(tmp_path / "out"), *TABLE_CONSUMERS[name]]
+    assert _traced_peak([a.format(X=1_100_003) for a in argv]) < 12 * 2**20
+
+
+@pytest.mark.parametrize("X", [20 * 1024 - 1, 20 * 1024, 20 * 1024 + 1])
+def test_table_consumers_across_block_boundaries(tmp_path, monkeypatch, X):
+    # small blocks and runs, with X just below, on and just above a block
+    # multiple; every consumer must agree with a full-array formula on the
+    # oracle table
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(cli, "_RUN", 100)
+    h = np.where(fundamental_mask(X), sweep_counts_by_strides(X), 0)
+    orders = [1, 2, 3, 5, 8, 16, 27, 32]
+    assert density.class_order_census(X, orders) == {
+        k: int(np.count_nonzero(h[:X] == k)) for k in orders
+    }
+    for p in (3, 5, 7):
+        cmp = cohen_lenstra.empirical_cl_comparison(p, X)
+        assert cmp.count_fundamental == np.count_nonzero(h)
+        assert cmp.count_divisible == np.count_nonzero((h > 0) & (h % p == 0))
+    powers = [3**k for k in range(1, 20) if 3**k <= h.max()]
+    candidates = np.nonzero(np.isin(h, powers))[0].tolist()
+    want = [-n for n in candidates if h[n] == 3 or forms.exponent_divides(-n, 3)]
+    assert [r.disc for r in density.exponent3_scan(X)] == want
+    rows = [(-n, int(h[n])) for n in np.nonzero(h)[0].tolist()]
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"batch.{fmt}"
+        assert main(["--format", fmt, "--output", str(path), "batch", "--max-abs-disc", str(X)]) == 0
+        if fmt == "csv":
+            got = [(int(d), int(k)) for d, k in csv.reader(path.read_text().splitlines()[1:])]
+        else:
+            got = [(r["disc"], r["h"]) for r in json.loads(path.read_text())]
+        assert got == rows, fmt
 
 
 def test_census_budget_override(capsys):

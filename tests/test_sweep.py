@@ -167,6 +167,28 @@ def test_table_build_memory_within_budget(monkeypatch, X):
     assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + 3 * (X + 1)
 
 
+@pytest.mark.parametrize("X", [200_000, 1_100_003])
+def test_table_filter_allocates_nothing_beyond_the_sweep(monkeypatch, X):
+    # the non-fundamental entries are zeroed in the int32 table itself, so
+    # building the table stays within the sweep's own bound
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    tracemalloc.start()
+    try:
+        class_numbers(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
+
+
+def test_table_filter_at_every_residue_mod_16(monkeypatch):
+    # X + 1 entries end at every phase of the 16-entry residue pattern
+    for X in range(20_000, 20_016):
+        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+        want = np.where(fundamental_mask(X), sweep_counts_by_strides(X), 0)
+        assert np.array_equal(class_numbers(X), want), X
+
+
 @pytest.mark.parametrize("limit", [40_000, 40_001, 40_002, 40_003])
 def test_strided_oracle_across_blocks_and_groups(monkeypatch, limit):
     # small blocks and row groups put many hand-offs between blocks,

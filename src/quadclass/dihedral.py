@@ -140,22 +140,30 @@ class ClassCharacter:
 def make_character(cg: ClassGroupRecord, h: int) -> ClassCharacter:
     """The canonical order-h character: project a class onto its
     coordinate along the last invariant factor d_k (the exponent) and
-    reduce mod h.  Requires h | d_k.  The coordinates come from the coset
-    walk of the certified structure over the record's generators, whose
-    last one has order d_k: a class at walk position i has last coordinate
-    i // (order / d_k)."""
-    structure = cg.structure
-    if h < 1 or structure.exponent % h:
+    reduce mod h.  Requires h | d_k."""
+    if h < 1 or cg.structure.exponent % h:
         raise ValueError(f"order {h} does not divide the group exponent")
-    D = cg.disc
-    span = {principal_form(D): 0}
-    for g, d in cg.generators:
-        _extend(span, g, lambda x, y: _compose(x, y, D), d)
-    if len(span) != structure.order:
-        raise AssertionError("character table does not cover the class group")
-    stride = structure.order // structure.exponent
-    table = {f: pos // stride % h for f, pos in span.items()}
-    return ClassCharacter(D, h, table)
+    table = {f: c % h for f, c in _last_coordinates(cg).items()}
+    return ClassCharacter(cg.disc, h, table)
+
+
+def _last_coordinates(cg: ClassGroupRecord) -> dict[QuadForm, int]:
+    """Each class's coordinate along d_k, from the coset walk of the
+    certified structure over the record's generators, whose last one has
+    order d_k: a class at walk position i has last coordinate
+    i // (order / d_k).  The walk is made once per record, and again only
+    if its generators have changed since."""
+    generators = tuple(cg.generators)
+    if cg._walk is None or cg._walk[0] != generators:
+        D, structure = cg.disc, cg.structure
+        span = {principal_form(D): 0}
+        for g, d in generators:
+            _extend(span, g, lambda x, y: _compose(x, y, D), d)
+        if len(span) != structure.order:
+            raise AssertionError("character table does not cover the class group")
+        stride = structure.order // structure.exponent
+        cg._walk = (generators, {f: pos // stride for f, pos in span.items()})
+    return cg._walk[1]
 
 
 # -------------------------------------------------------------- coefficients

@@ -30,7 +30,7 @@ import csv
 import operator
 import os
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 
 import numpy as np
@@ -369,6 +369,10 @@ class ClassGroupRecord:
     fundamental: bool
     structure: "AbelianGroup"  # noqa: F821 - imported lazily to avoid a cycle; h is its order
     generators: list  # (QuadForm, order) pairs, aligned with invariant factors
+    # the generators walked by dihedral.make_character and the last
+    # coordinate it read off each class, so that the record's other
+    # characters need no second walk; a record lives for one query
+    _walk: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def factors_string(self) -> str:
         return ";".join(str(d) for d in self.structure.invariant_factors)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -163,18 +164,20 @@ def test_large_prime_rows(capsys):
 
 
 def test_cli_never_imports_the_field_search():
-    # finitefield is the tests' oracle: no subcommand may load it
+    # finitefield is the tests' oracle: no subcommand may load it; and the
+    # process pool is loaded only by a sweep with more than one worker
     code = (
         "import sys\n"
         "from quadclass.cli import main\n"
+        "pool = 'multiprocessing' in sys.modules\n"
         "main(['witness', '--disc', '-47', '--p', '2', '--bound', '100'])\n"
         "main(['traces', '--orders', '9,5', '--p', '2'])\n"
-        "print('quadclass.finitefield' in sys.modules)\n"
+        "print(pool, 'quadclass.finitefield' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(quadclass.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "False False"
 
 
 def test_exp3scan_rows(capsys):
@@ -342,6 +345,97 @@ BATCH_5000_SHA256 = {
 def test_batch_output_pinned(capsys, fmt):
     out = _run(capsys, "--format", fmt, "batch", "--max-abs-disc", "5000")
     assert hashlib.sha256(out.encode()).hexdigest() == BATCH_5000_SHA256[fmt]
+
+
+def _edge_values(dtype) -> list[int]:
+    """0, +-1, both ends of the type, and every digit-width edge
+    10^k - 1 / 10^k (and their negatives) the type can hold."""
+    info = np.iinfo(dtype)
+    edges = {0, 1, int(info.max), int(info.max) - 1, int(info.min), int(info.min) + 1}
+    if info.min < 0:
+        edges.add(-1)
+    p = 10
+    while p <= info.max:
+        edges |= {p - 1, p} | ({1 - p, -p} if info.min < 0 else set())
+        p *= 10
+    return sorted(edges)
+
+
+def _integer_table(n: int, seed: int) -> tuple[np.ndarray, ...]:
+    """An int32, an int64 and a uint64 column of n rows: each column's
+    edge values, then seeded values of every width, in seeded order."""
+    rng = np.random.default_rng(seed)
+    columns = []
+    for dtype in (np.int32, np.int64, np.uint64):
+        info = np.iinfo(dtype)
+        edges = _edge_values(dtype)
+        # shifting uniform draws right gives magnitudes of every width
+        mags = rng.integers(0, info.max, size=n - len(edges), dtype=dtype, endpoint=True)
+        mags >>= rng.integers(0, info.bits, size=mags.size).astype(dtype)
+        if info.min < 0:
+            mags = np.where(rng.random(mags.size) < 0.5, -mags, mags)
+        col = np.concatenate([np.array(edges, dtype=dtype), mags])
+        columns.append(col[rng.permutation(n)])
+    return tuple(columns)
+
+
+def _emit_columns(tmp_path, fmt: str, headers: list[str], columns) -> str:
+    """The text _emit writes for the columns, handed over cli._RUN rows
+    at a time as batch hands over its table."""
+    path = tmp_path / f"table.{fmt}"
+    size = len(columns[0])
+    runs = (tuple(c[s : s + cli._RUN] for c in columns) for s in range(0, size, cli._RUN))
+    assert cli._emit(headers, runs, argparse.Namespace(format=fmt, output=str(path))) == 0
+    return path.read_text()
+
+
+def _library_text(fmt: str, headers: list[str], columns) -> str:
+    """The same table written by csv.writer or json.dumps(..., indent=2)."""
+    rows = [[int(v) for v in row] for row in zip(*columns)]
+    if fmt == "json":
+        return json.dumps([dict(zip(headers, r)) for r in rows], indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("run", [7, 128, 4096])
+@pytest.mark.parametrize("rows", [0, 1, 200])
+def test_integer_runs_match_the_library_encoders(tmp_path, monkeypatch, fmt, run, rows):
+    # 200 rows are 29 runs of 7, a run of 128 and a shorter one, or one
+    # run of 4096
+    monkeypatch.setattr(cli, "_RUN", run)
+    headers = ["disc", "h", "n"]
+    full = _integer_table(200, seed=rows + run)
+    columns = tuple(c[:rows] for c in full)
+    got = _emit_columns(tmp_path, fmt, headers, columns)
+    assert got == _library_text(fmt, headers, columns)
+    if rows == 0:
+        assert got == ("[]\n" if fmt == "json" else "disc,h,n\n")
+
+
+def test_integer_runs_cover_every_edge_value(tmp_path):
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64):
+        column = np.array(_edge_values(dtype), dtype=dtype)
+        for fmt in ("csv", "json"):
+            got = _emit_columns(tmp_path, fmt, ["v"], (column,))
+            assert got == _library_text(fmt, ["v"], (column,)), (dtype, fmt)
+    # the int64 minimum has no int64 magnitude; its digits must still be exact
+    low = np.array([np.iinfo(np.int64).min], dtype=np.int64)
+    assert _emit_columns(tmp_path, "csv", ["v"], (low,)) == "v\n-9223372036854775808\n"
+
+
+@pytest.mark.parametrize(
+    "column",
+    [np.array([1.0, 2.5]), np.array([True, False]), np.array([1, 2], dtype=object)],
+    ids=["float", "bool", "object"],
+)
+def test_integer_runs_refuse_other_cells(tmp_path, column):
+    with pytest.raises(TypeError):
+        _emit_columns(tmp_path, "csv", ["v"], (column,))
 
 
 # sha256 of CSV output from the two sieve-backed subcommands, `landau`

@@ -366,7 +366,7 @@ def _smith_coordinates(relations: list[tuple[int, int]], positions) -> tuple[np.
     reduced mod d_j first, so every entry of the product is below n h^2.
     With n <= log2(h) that is below 2e13 for h up to the walk's element
     cap, forms.MAX_WALKED_CLASSES = 10^6, and for the h of any |D| up to
-    the grid's cap, forms.MAX_ENUMERATED_DISC: far inside int64.
+    the enumeration's cap, forms.MAX_ENUMERATED_DISC: far inside int64.
     """
     orders = [o for o, _ in relations]
     n = len(orders)

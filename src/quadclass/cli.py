@@ -139,7 +139,8 @@ def _render_cells(out: np.ndarray, mag: np.ndarray, neg: np.ndarray, lo: int, hi
         out[neg, width - 1 - count[neg]] = ord("-")
 
 
-def _ratio_cell(r: Fraction) -> str:
+def _ratio_cell(r: Fraction | float) -> str:
+    """A ratio as a six-decimal cell, the form of every fractional cell."""
     return f"{float(r):.6f}"
 
 
@@ -256,7 +257,7 @@ def _cmd_clweights(args) -> int:
     for x in args.bounds_list:
         w = cohen_lenstra.weighted_sum_coprime(S, x)
         lb = cohen_lenstra.prime_reciprocal_sum(S, x)
-        rows.append([x, f"{float(w):.6f}", f"{float(lb):.6f}"])
+        rows.append([x, _ratio_cell(w), _ratio_cell(lb)])
     return _emit(["x", "weighted_sum", "lower_bound"], rows, args)
 
 
@@ -264,15 +265,8 @@ def _cmd_clcompare(args) -> int:
     rows = []
     for p in args.p:
         cmp = cohen_lenstra.empirical_cl_comparison(p, args.bound, workers=args.workers)
-        rows.append(
-            [
-                p,
-                args.bound,
-                f"{float(cmp.empirical):.6f}",
-                f"{cmp.predicted:.6f}",
-                f"{cmp.abs_diff:.6f}",
-            ]
-        )
+        ratios = (cmp.empirical, cmp.predicted, cmp.abs_diff)
+        rows.append([p, args.bound] + [_ratio_cell(r) for r in ratios])
     rows.sort(key=lambda r: r[0])
     return _emit(["p", "X", "empirical", "predicted", "abs_diff"], rows, args)
 

@@ -94,17 +94,22 @@ def _coprime_orders(S: frozenset[int], x: int) -> list[int]:
     return np.nonzero(coprime_mask(x, S))[0].tolist()
 
 
+def _weighted_groups(S: Iterable[int], x: int):
+    """(G, weight(G)) for every abelian G with #G <= x coprime to every
+    prime in S, ascending in order; x is held to the enumeration budget
+    before S is checked."""
+    check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
+    for n in _coprime_orders(_prime_set(S), x):
+        for G in enumerate_groups(n):
+            yield G, weight(G)
+
+
 def weighted_sum_coprime(S: Iterable[int], x: int) -> Fraction:
     """Sum of 1/#Aut(G) over all abelian G with #G <= x coprime to
     every prime in S.  Exact."""
     if x < 1:
         raise ValueError("x must be >= 1")
-    check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
-    total = Fraction(0)
-    for n in _coprime_orders(_prime_set(S), x):
-        for G in enumerate_groups(n):
-            total += weight(G)
-    return total
+    return sum((w for _, w in _weighted_groups(S, x)), Fraction(0))
 
 
 def prime_reciprocal_sum(S: Iterable[int], x: int) -> Fraction:
@@ -123,15 +128,11 @@ def partial_average(
 ) -> Fraction:
     """The f-weighted share of the total weight over orders <= x
     coprime to S: an exact finite stand-in for the limiting average."""
-    check_budget("x", x, DEFAULT_ENUM_BUDGET, "enumeration")
-    num = Fraction(0)
-    den = Fraction(0)
-    for n in _coprime_orders(_prime_set(S), x):
-        for G in enumerate_groups(n):
-            w = weight(G)
-            den += w
-            if f(G):
-                num += w
+    num = den = Fraction(0)
+    for G, w in _weighted_groups(S, x):
+        den += w
+        if f(G):
+            num += w
     if den == 0:
         raise ValueError("empty enumeration range")
     return num / den

@@ -30,8 +30,9 @@ prime forms of norm at most sqrt(|D|/3).  What keeps them apart is what
 they do with them: the structure is a coset walk over them, certified
 by its Smith form, Sylow bases and torsion counts, while
 exponent_divides powers each one on its own.  The tests check the walk
-against the grid of forms.enumerate_reduced.  forms.class_number, which
-the divisor walk asks for h past the table, stays on that grid.
+against the reduced forms of forms.enumerate_reduced.
+forms.class_number, which the divisor walk asks for h past the table,
+counts those forms.
 """
 
 from __future__ import annotations

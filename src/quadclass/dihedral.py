@@ -44,7 +44,6 @@ from .forms import (
     Ramified,
     _compose,
     class_group,
-    is_fundamental,
     prime_form,
     principal_form,
 )
@@ -360,7 +359,7 @@ def find_witness(
     """
     check_budget("bound", bound, SIEVE_BUDGET, "sieve")
     cg = D if isinstance(D, ClassGroupRecord) else class_group(D)
-    if not is_fundamental(cg.disc):
+    if not cg.fundamental:
         # a prime of the conductor has no invertible prime form
         raise ValueError(f"{cg.disc} is not a fundamental discriminant")
     chi = make_character(cg, witness_order(cg.structure, p))

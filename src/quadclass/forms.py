@@ -20,8 +20,11 @@ class-number table to its counts.
 ``class_group`` grows a fundamental D's group from its prime forms, with
 no enumeration; its cost is about h products plus one prime form per
 prime up to sqrt(|D|/3), and its cap, MAX_WALKED_CLASSES, is on h.  The
-grid of ``enumerate_reduced``, O(|D|) and capped at MAX_ENUMERATED_DISC,
-is the route of the other D and the oracle of the tests.
+reduced forms of one D come from one O(|D|) kernel, ``_reduced_triples``:
+for each b, the divisors a <= sqrt(n) of n = (b^2 + |D|)/4.
+``enumerate_reduced`` keeps the primitive ones, capped at
+MAX_ENUMERATED_DISC; it is the route of the other D and the oracle of
+the tests.  ``sweep.count_reduced_forms`` counts them all, with no cap.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import operator
 import os
 from collections import namedtuple
 from dataclasses import dataclass, field
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -222,8 +225,8 @@ def form_pow(f: QuadForm, n: int) -> QuadForm:
 
 
 # Largest |D| enumerate_reduced takes, so the largest non-fundamental
-# D class_group takes.  The grid took 1.0 s at |D| ~ 1e8, 1.9 s at 1e9
-# and 9.5 s at 1e10 (2-vCPU x86-64 host); b^2 + |D| <= 4|D|/3 stays far
+# D class_group takes.  It took 0.06 s at |D| ~ 1e8, 0.46 s at 1e9 and
+# 4.8-5.1 s at 1e10 (2-vCPU x86-64 host); b^2 + |D| <= 4|D|/3 stays far
 # inside int64.
 MAX_ENUMERATED_DISC = 10**10
 
@@ -235,46 +238,43 @@ MAX_ENUMERATED_DISC = 10**10
 MAX_WALKED_CLASSES = 10**6
 
 
+def _reduced_triples(abs_disc: int):
+    """(b, a, c) for each b = abs_disc mod 2 in [0, sqrt(abs_disc/3)]
+    that has reduced forms: a and c are int64 arrays, a ascending, of
+    every a in [max(b, 1), isqrt(n)] dividing n = (b^2 + abs_disc)/4
+    and c = n/a.  Together they are all the reduced forms with
+    0 <= b <= a <= c of discriminant -abs_disc, primitive or not, one
+    array of at most sqrt(abs_disc)/2 entries at a time."""
+    for b in range(abs_disc & 1, isqrt(abs_disc // 3) + 1, 2):
+        n = (b * b + abs_disc) >> 2
+        a = np.arange(max(b, 1), isqrt(n) + 1, dtype=np.int64)
+        a = a[n % a == 0]
+        if a.size:
+            yield b, a, n // a
+
+
 def enumerate_reduced(D) -> list[QuadForm]:
     """All primitive reduced forms of discriminant D, ordered by (a, b),
     for |D| up to MAX_ENUMERATED_DISC.
 
-    A reduced form has |b| <= a <= c, so a <= sqrt(|D|/3).  The (a, b)
-    pairs with 0 <= b <= a and b = D mod 2 are tested as one numpy grid,
-    in blocks of about 2^14 pairs (a from lo up to about
-    sqrt(lo^2 + 2^16)) so that memory stays flat as |D| grows; each pair
-    that passes gives (a, b, c) and, when that is not its own reduced
-    inverse, (a, -b, c).
+    The forms (a, b, c) of ``_reduced_triples`` with gcd(a, b, c) = 1,
+    and (a, -b, c) beside each one that is not its own reduced inverse
+    (0 < b < a < c).
 
     >>> enumerate_reduced(-23)
     [(1,1,6), (2,-1,3), (2,1,3)]
     """
     D = _disc_value(D)
-    absD = -D
-    check_budget("|D|", absD, MAX_ENUMERATED_DISC, "reduced-form")
-    parity = absD & 1
-    top = isqrt(absD // 3)
-    found = []
-    lo = 1
-    while lo <= top:
-        hi = min(isqrt(lo * lo + 2**16), top) + 1
-        a_run = np.arange(lo, hi, dtype=np.int64)
-        per_a = (a_run - parity) // 2 + 1  # b = parity, parity + 2, ..., <= a
-        a = np.repeat(a_run, per_a)
-        first = np.repeat(np.cumsum(per_a) - per_a, per_a)
-        b = parity + 2 * (np.arange(len(a), dtype=np.int64) - first)
-        num = b * b + absD
-        sel = num % (4 * a) == 0
-        a, b = a[sel], b[sel]
-        c = num[sel] // (4 * a)
-        sel = (c >= a) & (np.gcd(np.gcd(b, a), c) == 1)
-        found.append((a[sel], b[sel], c[sel]))
-        lo = hi
-    a, b, c = (np.concatenate(col) for col in zip(*found))
-    neg = (0 < b) & (b < a) & (c > a)
-    a, b, c = np.r_[a, a[neg]], np.r_[b, -b[neg]], np.r_[c, c[neg]]
-    order = np.lexsort((b, a))
-    return list(map(QuadForm._make, zip(a[order].tolist(), b[order].tolist(), c[order].tolist())))
+    check_budget("|D|", -D, MAX_ENUMERATED_DISC, "reduced-form")
+    forms = []
+    for b, a, c in _reduced_triples(-D):
+        for x, z in zip(a.tolist(), c.tolist()):
+            if gcd(x, b, z) == 1:
+                forms.append(QuadForm._make((x, b, z)))
+                if 0 < b < x < z:
+                    forms.append(QuadForm._make((x, -b, z)))
+    forms.sort()
+    return forms
 
 
 def class_number(D) -> int:
@@ -385,7 +385,7 @@ def class_group(D) -> ClassGroupRecord:
     fundamental D is walked over its prime forms
     (``abelian.structure_from_prime_forms``), up to
     MAX_WALKED_CLASSES classes.  Any other D, where a prime of the
-    conductor has no invertible prime form, takes the grid of
+    conductor has no invertible prime form, takes the reduced forms of
     ``enumerate_reduced``, up to MAX_ENUMERATED_DISC.  Both routes give
     the same structure and generators.
 

@@ -69,7 +69,7 @@ from math import isqrt
 
 import numpy as np
 
-from .forms import keep_fundamental
+from .forms import _reduced_triples, keep_fundamental
 from .ntheory import check_budget
 
 #: The sweep kernel in use; numpy is the only one.
@@ -244,32 +244,17 @@ def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
 
 
 def count_reduced_forms(abs_disc: int) -> int:
-    """Number of reduced forms with |disc| = abs_disc, by trial division
-    over b.  Equals h(-abs_disc) when -abs_disc is fundamental.  Built
-    for single very large discriminants where a full sweep is absurd.
+    """Number of reduced forms with |disc| = abs_disc, from the
+    per-b divisor loop of forms._reduced_triples, with no |D| cap.
+    Equals h(-abs_disc) when -abs_disc is fundamental.  Built for single
+    very large discriminants where a full sweep is absurd.
     """
-    if abs_disc % 4 == 0:
-        b0 = 0
-    elif abs_disc % 4 == 3:
-        b0 = 1
-    else:
+    if abs_disc % 4 not in (0, 3):
         raise ValueError(f"{-abs_disc} is not a discriminant")
     total = 0
-    for b in range(b0, isqrt(abs_disc // 3) + 1, 2):
-        n = (b * b + abs_disc) // 4
-        lo = max(b, 1)
-        hi = isqrt(n)
-        if hi < lo:
-            continue
-        a = np.arange(lo, hi + 1, dtype=np.int64)
-        a = a[n % a == 0]
-        if not a.size:
-            continue
-        if b == 0:
-            total += a.size
-        else:
-            c = n // a
-            total += int(np.where((a == b) | (a == c), 1, 2).sum())
+    for b, a, c in _reduced_triples(abs_disc):
+        # (a, -b, c) is reduced too unless b = 0, a = b or a = c
+        total += 2 * a.size - (a.size if b == 0 else np.count_nonzero((a == b) | (a == c)))
     return total
 
 

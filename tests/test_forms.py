@@ -3,6 +3,7 @@ import hashlib
 import os
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_enumerate_reduced_matches_per_a_loop_small_range():
 
 
 def test_enumerate_reduced_matches_per_a_loop_large():
-    # past |D| = 2e5 the (a, b) grid spans several blocks; 4e6 about twenty
+    # |D| up to 4e6: a few hundred values of b, each with up to 1000 values of a
     rng = random.Random(20261019)
     discs = [-4 * 10**6, -(4 * 10**6 - 1), -200004, -200003]
     while len(discs) < 40:
@@ -87,6 +88,19 @@ def test_enumerate_reduced_matches_per_a_loop_large():
     assert sum(D < -2 * 10**5 for D in discs) >= 30
     for D in discs:
         assert enumerate_reduced(D) == enumerate_reduced_per_a(D), D
+
+
+def test_enumerate_reduced_memory_stays_flat():
+    # one b's divisor candidates at a time, so the peak is about the
+    # returned list itself: 22,776 forms, about 2.9 MiB
+    tracemalloc.start()
+    try:
+        forms = enumerate_reduced(-1000000071)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(forms) == 22776
+    assert peak <= 8 * 2**20
 
 
 def test_enumerate_reduced_refuses_past_cap():

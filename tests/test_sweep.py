@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from quadclass import sweep
-from quadclass.forms import fundamental_mask, is_fundamental
+from quadclass.forms import class_number, fundamental_mask, is_fundamental
 from quadclass.ntheory import ResourceLimitError
 from quadclass.sweep import (
     batch_class_numbers,
@@ -50,6 +50,33 @@ def test_single_disc_kernel_matches_sweep():
     counts = sweep_counts(2000)
     for n in (3, 4, 23, 47, 420, 1155, 1992, 1999):
         assert count_reduced_forms(n) == int(counts[n])
+
+
+def _count_by_conductor(n: int) -> int:
+    # a reduced form of discriminant -n with gcd(a, b, c) = g is g times
+    # a primitive reduced form of discriminant -n/g^2
+    total, g = 0, 1
+    while g * g <= n:
+        m = n // (g * g)
+        if n % (g * g) == 0 and m % 4 in (0, 3):
+            total += class_number(-m)
+        g += 1
+    return total
+
+
+def test_count_reduced_forms_sums_class_numbers_over_conductors():
+    # the kernel's weights (count_reduced_forms) against its primitivity
+    # filter (enumerate_reduced, behind class_number)
+    for n in range(3, 5000):
+        if n % 4 in (0, 3):
+            assert count_reduced_forms(n) == _count_by_conductor(n), n
+    rng = random.Random(20261020)
+    seen = 0
+    while seen < 20:
+        n = rng.randrange(10**6, 10**6 + 10**5)
+        if n % 4 in (0, 3):
+            assert count_reduced_forms(n) == _count_by_conductor(n), n
+            seen += 1
 
 
 def test_prefix_stability():

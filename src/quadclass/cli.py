@@ -198,14 +198,12 @@ def _cmd_witness(args) -> int:
     for disc in args.disc:
         record = class_group(disc)
         for p in args.p:
-            h = dihedral.witness_order(record.structure, p)
-            found = dihedral.find_witness(record, p, args.bound)
+            chi = dihedral.witness_character(record, p)
+            found = dihedral.find_witness(chi, p, args.bound)
             if isinstance(found, dihedral.NotFoundUpToBound):
-                rows.append([record.disc, h, p, "", ""])
+                rows.append([record.disc, chi.h, p, "", ""])
             else:
-                ell, coeff = found
-                degree = dihedral.reduce_coefficient(coeff, p).field_degree()
-                rows.append([record.disc, h, p, ell, degree])
+                rows.append([record.disc, chi.h, p, found.ell, found.degree])
     rows.sort(key=lambda r: (-r[0], r[2]))
     return _emit(
         ["disc", "h", "p", "witness_prime", "coefficient_field_degree"], rows, args
@@ -263,10 +261,9 @@ def _cmd_clweights(args) -> int:
 
 def _cmd_clcompare(args) -> int:
     rows = []
-    for p in args.p:
-        cmp = cohen_lenstra.empirical_cl_comparison(p, args.bound, workers=args.workers)
+    for cmp in cohen_lenstra.empirical_cl_comparisons(args.p, args.bound, workers=args.workers):
         ratios = (cmp.empirical, cmp.predicted, cmp.abs_diff)
-        rows.append([p, args.bound] + [_ratio_cell(r) for r in ratios])
+        rows.append([cmp.p, args.bound] + [_ratio_cell(r) for r in ratios])
     rows.sort(key=lambda r: r[0])
     return _emit(["p", "X", "empirical", "predicted", "abs_diff"], rows, args)
 

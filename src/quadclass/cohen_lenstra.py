@@ -166,6 +166,33 @@ class DivisibilityComparison:
         return abs(float(self.empirical) - self.predicted)
 
 
+def empirical_cl_comparisons(
+    ps: Iterable[int], X: int, workers: int = 1
+) -> list[DivisibilityComparison]:
+    """empirical_cl_comparison for each p in ps, in order, from one pass
+    over the class-number table: its histogram freq[h] counts the |D|
+    with h(D) = h, so freq[0] counts the non-fundamental |D| and p
+    divides sum(freq[p::p]) class numbers."""
+    ps = list(ps)
+    if any(p == 2 or not is_prime(p) for p in ps):
+        raise ValueError("comparison is defined for odd primes only")
+    counts = class_numbers(X, workers=workers)
+    # np.add.at, not np.bincount: bincount would copy each block to int64
+    freq = np.zeros(int(counts.max()) + 1, dtype=np.int64)
+    for _, block in blocks(counts):
+        np.add.at(freq, block, 1)
+    fund = counts.size - int(freq[0])
+    if fund == 0:
+        raise ValueError(f"no fundamental discriminants up to {X}")
+    # a p past every class number divides none (and may be past int64)
+    return [
+        DivisibilityComparison(
+            p, X, int(freq[p::p].sum()) if p < freq.size else 0, fund, predicted_divisibility(p)
+        )
+        for p in ps
+    ]
+
+
 def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityComparison:
     """Empirical fraction of fundamental |D| <= X with p | h(D) against
     the infinite-product prediction.  Reports both; asserting a
@@ -174,17 +201,4 @@ def empirical_cl_comparison(p: int, X: int, workers: int = 1) -> DivisibilityCom
     The heuristic concerns the odd part of the class group, so p must
     be an odd prime.
     """
-    if p == 2 or not is_prime(p):
-        raise ValueError("comparison is defined for odd primes only")
-    counts = class_numbers(X, workers=workers)
-    fund = int(np.count_nonzero(counts))
-    if fund == 0:
-        raise ValueError(f"no fundamental discriminants up to {X}")
-    divisible = 0
-    # a p past every class number divides none (and is past int32)
-    if p <= counts.max():
-        # p divides every entry 0 too: those are the non-fundamental |D|
-        for _, block in blocks(counts):
-            divisible += int(np.count_nonzero(block % p == 0))
-        divisible -= counts.size - fund
-    return DivisibilityComparison(p, X, divisible, fund, predicted_divisibility(p))
+    return empirical_cl_comparisons([p], X, workers=workers)[0]

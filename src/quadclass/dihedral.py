@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd, isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,24 +348,40 @@ def witness_order(structure: AbelianGroup, p: int) -> int:
     return prime_to_p_part(structure.exponent, p)
 
 
-def find_witness(
-    D: int | ClassGroupRecord, p: int, bound: int
-) -> tuple[int, EigenCoefficient] | NotFoundUpToBound:
-    """Smallest prime ell <= bound whose coefficient escapes F_p after
-    reduction mod p, for the canonical character of order
-    witness_order(Cl(D), p).  D is a fundamental discriminant or its
-    class-group record; a caller that already holds the record passes it
-    so the class group is not computed again.  bound may not exceed the
-    prime sieve's budget.
-    """
-    check_budget("bound", bound, SIEVE_BUDGET, "sieve")
+def witness_character(D: int | ClassGroupRecord, p: int) -> ClassCharacter:
+    """The canonical character of order witness_order(Cl(D), p), whose
+    order chi.h is the h of a witness row.  D is a fundamental
+    discriminant or its class-group record."""
     cg = D if isinstance(D, ClassGroupRecord) else class_group(D)
     if not cg.fundamental:
         # a prime of the conductor has no invertible prime form
         raise ValueError(f"{cg.disc} is not a fundamental discriminant")
-    chi = make_character(cg, witness_order(cg.structure, p))
+    return make_character(cg, witness_order(cg.structure, p))
+
+
+class Witness(NamedTuple):
+    """A witness prime, its coefficient, and the degree over F_p of the
+    coefficient's reduction mod p (more than 1)."""
+
+    ell: int
+    coeff: EigenCoefficient
+    degree: int
+
+
+def find_witness(
+    D: int | ClassGroupRecord | ClassCharacter, p: int, bound: int
+) -> Witness | NotFoundUpToBound:
+    """Smallest prime ell <= bound whose coefficient escapes F_p after
+    reduction mod p, for witness_character(D, p).  D is a fundamental
+    discriminant, its class-group record or that character; a caller
+    that already holds one passes it so that it is not computed again.
+    bound may not exceed the prime sieve's budget.
+    """
+    check_budget("bound", bound, SIEVE_BUDGET, "sieve")
+    chi = D if isinstance(D, ClassCharacter) else witness_character(D, p)
     for ell in map(int, primes_up_to(bound)):
         c = eigen_coeff(chi, ell)
-        if not coeff_in_prime_field(c, p):
-            return ell, c
+        degree = reduce_coefficient(c, p).field_degree()
+        if degree > 1:
+            return Witness(ell, c, degree)
     return NOT_FOUND_UP_TO_BOUND

@@ -14,24 +14,40 @@ and half the adds.  Fix a.  The forms with c > a put weight 1 (b in
 once n reaches n0 = 4a^2 + 4a, at i0 = 2a^2 + 2a, every b has started,
 and from there the contribution of a is exactly periodic in i with
 period 2a (entry j is the weight at n = 2j + (j & 1) mod 4a).
-_sweep_range(lo, hi) sweeps [lo, hi) in two parts.  Below i0 it adds
-the points one by one: every c = a term and the first ceil(b^2/4a)
-terms c > a of each b, about a^2/12 per a.  It takes a in descending
-order: those temporaries grow with a, so the largest come first and
-the allocator reuses their memory instead of mapping and faulting in
-a larger block for each new a (a fresh interpreter's sweep to 4e6
-takes under a third of the page faults of ascending order).  From i0
-on it walks the range in L2-sized blocks and adds each a's pattern,
-tiled to a row of at least _MIN_ROW entries, as one reshaped 2D add
-per block.  The row of a also carries a/2, a/4, ... (their periods
-divide 2a), so a adds its own row only until the row of 2a takes over
-at i0(2a).  Rows are held for one group of consecutive a at a time, in
-one buffer of _PATTERN_BUDGET entries: one large block that goes back
-to the system when the sweep ends, where hundreds of small rows would
-leave the heap fragmented for the rest of the process.
+_sweep_range(lo, hi) sweeps [lo, hi) in two parts.  From i0 on it
+walks the range in L2-sized blocks and adds each a's pattern, tiled to
+a row of at least _MIN_ROW entries, as one reshaped 2D add per block.
+The row of a also carries a/2, a/4, ... (their periods divide 2a), so a
+adds its own row only until the row of 2a takes over at i0(2a).  Rows
+are held for one group of consecutive a at a time, in one buffer of
+_PATTERN_BUDGET entries: one large block that goes back to the system
+when the sweep ends, where hundreds of small rows would leave the heap
+fragmented for the rest of the process.  Below i0 it adds the points
+one by one: every c = a term and the first ceil(b^2/4a) terms c > a of
+each b, about a^2/12 per a.  Their indices are built in two buffers
+made once, _PREFIX_TERMS + a terms at a time, so no temporary grows
+with a: per-a temporaries of a's size were mapped, trimmed and faulted
+in again by the heap, and a fresh interpreter's sweep to 4e6 took
+26.9-27.7k minor page faults with them and takes 1.9-2.4k without.
 The sweep runs in the front half of the n-indexed output array, which
 is then spread out in place, top down, to n = 2i + (i & 1), with the
 n = 1, 2 (mod 4) entries zeroed, so no second full-length array is held.
+
+Every add goes into a uint16 accumulator, not into the int32 counts: a
+2D add of uint16 rows moves half the bytes, and took 0.08 ns an entry
+against 0.19-0.30 ns in int32 on a 2-vCPU x86-64 host.  The accumulator
+lives in the back half of the output array, which holds nothing until
+the spread (a range of a few entries, with no room there, takes an
+array of its own), and is added into the int32 front half and zeroed
+whenever it could pass 65535, and once at the end.  It cannot overflow:
+each add has a bound on what it puts on any one entry, and the sweep
+flushes before the bounds summed since the last flush pass
+_ACC_LIMIT.  A row puts at most its largest weight on an entry.  The
+prefix of a puts at most the largest weight of a's own pattern: each b
+has one term on each n = -b^2 mod 4a, weighing what b weighs in that
+pattern or, for c = a, 1.  The bounds sum to 9,967 at 1e6, 23,078 at
+4e6 and 52,815 at 1.6e7 (the largest counts are 1,868, 3,918 and
+8,303), so up to 1.6e7 the accumulator is flushed only at the end.
 
 The kernel counts all reduced forms, primitive or not.  Fundamental
 discriminants admit no imprimitive forms (a common factor g of
@@ -80,14 +96,19 @@ BACKEND = "numpy"
 #: override.  The table alone is 4(X+1) bytes (int32).
 DEFAULT_CLASS_DATA_BUDGET = 4_000_000
 
-#: Entries of the count array one block covers: 1 MiB of int32, inside L2.
+#: Entries one block covers, inside L2: 1 MiB of the int32 table, 512 KiB
+#: of the sweep's uint16 accumulator.
 _BLOCK = 1 << 18
-#: Pattern-row entries held at once, in one buffer (1 MiB of int32); the
-#: rows of one group of consecutive a are added over every block before
-#: the next group's rows are built.
+#: Pattern-row entries held at once, in one buffer (512 KiB of uint16);
+#: the rows of one group of consecutive a are added over every block
+#: before the next group's rows are built.
 _PATTERN_BUDGET = 1 << 18
 #: Shortest pattern row, so that numpy's inner loop stays long for small a.
 _MIN_ROW = 1024
+#: Terms below i0 indexed at once, in int64 (1 MiB), plus up to a more.
+_PREFIX_TERMS = 1 << 17
+#: Most the uint16 accumulator may gain at one entry between flushes.
+_ACC_LIMIT = (1 << 16) - 1
 
 
 def _half(n: int) -> int:
@@ -95,47 +116,77 @@ def _half(n: int) -> int:
     return (n >> 1) + (n & 3 == 1)
 
 
-def _pattern_row(a: int) -> np.ndarray:
-    """The periodic weights of a, a/2, a/4, ... at i mod 2a, tiled to a
-    row of k + 1 periods with k * 2a >= _MIN_ROW.
+def _own_pattern(a: int) -> np.ndarray:
+    """The weights of a alone at i mod 2a: the forms (a, b, c) with c > a
+    put weight 1 (b in {0, a}) or 2 on n = -b^2 mod 4a, which is 0 or 3
+    mod 4, so at i = n >> 1 mod 2a."""
+    i = (-(np.arange(a + 1, dtype=np.int64) ** 2) % (4 * a)) >> 1
+    return np.bincount(i, minlength=2 * a) + np.bincount(i[1:a], minlength=2 * a)
 
-    The forms (a, b, c) with c > a put weight 1 (b in {0, a}) or 2 on
-    n = -b^2 mod 4a, which is 0 or 3 mod 4, so at i = n >> 1 mod 2a; a
-    halving a' = a / 2^j repeats with a period 2a' in i that divides 2a.
+
+def _pattern_row(a: int) -> tuple[np.ndarray, int, int]:
+    """(row, own, top): the periodic weights of a, a/2, a/4, ... at
+    i mod 2a, tiled to a uint16 row of k + 1 periods with k * 2a >=
+    _MIN_ROW; the largest weight of a alone; the largest in the row.
+
+    A halving a' = a / 2^j repeats with a period 2a' in i that divides 2a.
     """
-    pattern = np.zeros(2 * a, dtype=np.int32)
-    sub, reps = a, 1
-    while True:
-        i = (-(np.arange(sub + 1, dtype=np.int64) ** 2) % (4 * sub)) >> 1
-        part = np.bincount(i, minlength=2 * sub) + np.bincount(i[1:sub], minlength=2 * sub)
-        pattern += np.tile(part.astype(np.int32), reps)
-        if sub % 2:
-            break
+    own = _own_pattern(a)
+    pattern, sub, reps = own.copy(), a, 1
+    while sub % 2 == 0:
         sub, reps = sub // 2, reps * 2
-    return np.tile(pattern, -(-_MIN_ROW // (2 * a)) + 1)
+        pattern += np.tile(_own_pattern(sub), reps)
+    row = np.tile(pattern.astype(np.uint16), -(-_MIN_ROW // (2 * a)) + 1)
+    return row, int(own.max()), int(pattern.max())
 
 
-def _add_prefix(half: np.ndarray, ilo: int, ihi: int, a: int) -> None:
+def _prefix_points(a: int, span: int) -> int:
+    """An upper bound on the points _add_prefix adds for any a' <= a in a
+    range of span indices: each b <= a' has ceil(b^2 / 4a') < b^2 / 4a' + 1
+    terms c > a', 2a' apart, so also at most span / 2a' + 1 in the range."""
+    return min((a + 1) * (2 * a + 1) // 24, span) + a + 1
+
+
+def _add_prefix(
+    acc: np.ndarray, ilo: int, ihi: int, a: int, ramp: np.ndarray, buf: np.ndarray
+) -> None:
     """Add the forms of a with n = 4ac - b^2 < n0 = 4a^2 + 4a, n >> 1 in
-    [ilo, ihi), into half[(n >> 1) - ilo]: every c = a term, and the
-    first ceil(b^2 / 4a) terms c > a of each b."""
+    [ilo, ihi), into acc[(n >> 1) - ilo]: every c = a term, and the
+    first ceil(b^2 / 4a) terms c > a of each b.  ramp is 0, 1, 2, ...
+    and buf as long, more than a/4 + 1, the most terms one b has; the
+    terms c > a are added whole runs of b at a time, at most ramp.size
+    terms, with their indices in buf.
+
+    Every term of b lies on its residue n = -b^2 mod 4a, once per n, and
+    weighs at most what b weighs in _own_pattern(a), so no entry gains
+    more than that pattern's largest weight."""
     m, p = 4 * a, 2 * a
     b = np.arange(a + 1, dtype=np.int64)
     first = (4 * a * a - b * b) >> 1
     first = first[(first >= ilo) & (first < ihi)] - ilo
-    np.add.at(half, first, np.int32(1))
+    np.add.at(acc, first, np.uint16(1))
     # b's terms c > a run i = start + p*j, j in [j0, j1)
     start = (4 * a * a + m - b * b) >> 1
     j0 = np.maximum(-((start - ilo) // p), 0)
     j1 = np.minimum(-(-(b * b) // m), -((start - ihi) // p))
     k = np.maximum(j1 - j0, 0)
-    before = np.cumsum(k) - k
-    i = np.arange(0, p * int(k.sum()), p, dtype=np.int64)
-    i += np.repeat(start + p * (j0 - before) - ilo, k)
-    # b = a, the last run, weighs 1; every other b > 0 weighs 2
-    split = i.size - int(k[-1])
-    np.add.at(half, i[:split], np.int32(2))
-    np.add.at(half, i[split:], np.int32(1))
+    end = np.cumsum(k)
+    # term t of all the runs in b order is at i - ilo = off_b + p*t
+    off = start + p * (j0 - end + k) - ilo
+    # the runs of b in [s, e) are added at once, as many as buf holds;
+    # end ascends, and counting where np.searchsorted would do keeps that
+    # function's code out of a fresh interpreter's RSS (0.1 MB)
+    s = t = 0
+    while s <= a:
+        e = int(np.count_nonzero(end <= t + ramp.size))
+        n = int(end[e - 1]) - t
+        i = np.multiply(ramp[:n], p, out=buf[:n])
+        i += np.repeat(off[s:e] + p * t, k[s:e])
+        # b = a, the last run, weighs 1; every other b > 0 weighs 2
+        cut = n - int(k[a]) if e > a else n
+        np.add.at(acc, i[:cut], np.uint16(2))
+        np.add.at(acc, i[cut:], np.uint16(1))
+        s, t = e, t + n
 
 
 def _spread(counts: np.ndarray, lo: int, ilo: int, size: int) -> None:
@@ -161,62 +212,109 @@ def _spread(counts: np.ndarray, lo: int, ilo: int, size: int) -> None:
         counts[(r - lo) % 4 :: 4] = 0
 
 
-def _sweep_half(half: np.ndarray, ilo: int, ihi: int) -> None:
+def _add_rows(acc: np.ndarray, ilo: int, ihi: int, group: list) -> None:
+    """Add each (i0, end, p, row) of group over [i0, end) into acc[i - ilo],
+    one _BLOCK of acc at a time, each as one reshaped 2D add."""
+    for block in range(max(ilo, group[0][0]), ihi, _BLOCK):
+        block_end = min(block + _BLOCK, ihi)
+        for i0, end, p, row in group:
+            if i0 >= block_end:
+                break
+            s, e = max(block, i0), min(block_end, end)
+            if s >= e:
+                continue
+            phase, width = s % p, row.size - p
+            rows = (e - s) // width
+            i = s - ilo
+            body = acc[i : i + rows * width].reshape(rows, width)
+            body += row[phase : phase + width]
+            i += rows * width
+            acc[i : e - ilo] += row[phase : phase + e - ilo - i]
+
+
+def _flush(half: np.ndarray, acc: np.ndarray) -> None:
+    """Add the uint16 accumulator into the int32 counts and zero it."""
+    np.add(half, acc, out=half)
+    acc.fill(0)
+
+
+def _sweep_half(half: np.ndarray, acc: np.ndarray, ilo: int, ihi: int) -> None:
     """Add into half[i - ilo] the number of reduced forms with
-    (4ac - b^2) >> 1 = i, for i in [ilo, ihi)."""
-    # a form of a has n >= 3a^2; below i0(a) = 2a^2 + 2a it is added
-    # point by point, largest a first so that the allocator reuses the
-    # largest temporaries
-    for a in range(isqrt((2 * ihi - 1) // 3), 0, -1):
-        if 2 * a * a + 2 * a > ilo:
-            _add_prefix(half, ilo, ihi, a)
-    # a adds its row over [i0(a), i0(2a)); from i0(2a) on the row of 2a
-    # carries it
+    (4ac - b^2) >> 1 = i, for i in [ilo, ihi).  The sweep adds into acc,
+    a zeroed uint16 array as long as half."""
+    used = 0
+
+    def reserve(bound: int) -> None:
+        # an add that raises no entry of acc by more than bound is next:
+        # flush acc into half first if the bounds summed since the last
+        # flush could then pass _ACC_LIMIT
+        nonlocal used
+        if used + bound > _ACC_LIMIT:
+            _flush(half, acc)
+            used = 0
+        used += bound
+
+    # a adds its row over [i0(a), i0(2a)), i0(a) = 2a^2 + 2a; from i0(2a)
+    # on the row of 2a carries it
     a = 1
     while 8 * a * a + 4 * a <= ilo:
         a += 1
     # a < sqrt(ihi / 2), and a row has fewer than 4a + _MIN_ROW entries
-    store = np.empty(max(_PATTERN_BUDGET, 4 * isqrt(ihi // 2) + _MIN_ROW), dtype=np.int32)
-    while 2 * a * a + 2 * a < ihi:
-        group, held = [], 0
-        while 2 * a * a + 2 * a < ihi and (
-            not group or held + 4 * a + _MIN_ROW <= _PATTERN_BUDGET
-        ):
-            row = _pattern_row(a)
-            store[held : held + row.size] = row
-            row = store[held : held + row.size]
-            group.append((2 * a * a + 2 * a, min(ihi, 8 * a * a + 4 * a), 2 * a, row))
-            held += row.size
-            a += 1
-        for block in range(max(ilo, group[0][0]), ihi, _BLOCK):
-            block_end = min(block + _BLOCK, ihi)
-            for i0, end, p, row in group:
-                if i0 >= block_end:
-                    break
-                s, e = max(block, i0), min(block_end, end)
-                if s >= e:
-                    continue
-                phase, width = s % p, row.size - p
-                rows = (e - s) // width
-                i = s - ilo
-                body = half[i : i + rows * width].reshape(rows, width)
-                body += row[phase : phase + width]
-                i += rows * width
-                half[i : e - ilo] += row[phase : phase + e - ilo - i]
+    store = np.empty(max(_PATTERN_BUDGET, 4 * isqrt(ihi // 2) + _MIN_ROW), dtype=np.uint16)
+    own = {}
+    group, held, top = [], 0, 0
+    while True:
+        more = 2 * a * a + 2 * a < ihi
+        if more:
+            row, own[a], peak = _pattern_row(a)
+        # a row adds at most its peak to an entry, so a group adds at most
+        # the sum of its rows' peaks, which must fit in acc
+        if group and (not more or held + row.size > store.size or top + peak > _ACC_LIMIT):
+            reserve(top)
+            _add_rows(acc, ilo, ihi, group)
+            group, held, top = [], 0, 0
+        if not more:
+            break
+        store[held : held + row.size] = row
+        i0, end = 2 * a * a + 2 * a, min(ihi, 8 * a * a + 4 * a)
+        group.append((i0, end, 2 * a, store[held : held + row.size]))
+        held += row.size
+        top += peak
+        a += 1
+    del store, group
+    # a form of a has n >= 3a^2; below i0(a) it is added point by point,
+    # in buffers longer than a
+    a = isqrt((2 * ihi - 1) // 3)
+    ramp = np.arange(min(_prefix_points(a, ihi - ilo), _PREFIX_TERMS + a), dtype=np.int64)
+    buf = np.empty_like(ramp)
+    while a and 2 * a * a + 2 * a > ilo:
+        # an a past every row has its own pattern made here
+        reserve(own[a] if a in own else int(_own_pattern(a).max()))
+        _add_prefix(acc, ilo, ihi, a, ramp, buf)
+        a -= 1
+    _flush(half, acc)
 
 
 def _sweep_range(lo: int, hi: int) -> np.ndarray:
     """counts[n - lo] = number of reduced forms with 4ac - b^2 = n, for
     n in [lo, hi), as int32."""
-    counts = np.zeros(max(hi - lo, 0), dtype=np.int32)
+    # zeroed by a write, not by calloc: the sweep's first touch of a page
+    # is a read, which would map the zero page and fault again on the write
+    counts = np.empty(max(hi - lo, 0), dtype=np.int32)
+    counts.fill(0)
     if hi <= 3:
         return counts
     # n = 4ac - b^2 is 0 or 3 mod 4, so i = n >> 1 indexes the
     # discriminants alone: sweep them into the front of counts, then
     # spread them out to their n
     ilo, ihi = _half(lo), _half(hi)
-    _sweep_half(counts[: ihi - ilo], ilo, ihi)
-    _spread(counts, lo, ilo, ihi - ilo)
+    size = ihi - ilo
+    # the sweep adds in uint16, in the back half of counts, which holds
+    # nothing until the spread; a range of a few entries has no room there
+    back = counts[size:].view(np.uint16)
+    acc = back[:size] if back.size >= size else np.zeros(size, dtype=np.uint16)
+    _sweep_half(counts[:size], acc, ilo, ihi)
+    _spread(counts, lo, ilo, size)
     return counts
 
 

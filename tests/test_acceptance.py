@@ -158,7 +158,7 @@ def test_criterion_03_full_census_at_reference_bound():
 
 def test_criterion_04_class_number_65536():
     # the sweep's count is the independent h; the prime-form walk also
-    # gives the structure, past the grid's cap
+    # gives the structure, past the enumeration cap
     t0 = time.perf_counter()
     h = count_reduced_forms(4 * 5000948753)
     structure = class_group(-4 * 5000948753).structure

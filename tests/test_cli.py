@@ -35,8 +35,9 @@ def _rows(text: str) -> list[dict]:
     return list(csv.DictReader(io.StringIO(text)))
 
 
-def test_classgroup_past_the_grid_cap(capsys):
-    # fundamental, so walked over prime forms; the grid refuses |D| > 1e10
+def test_classgroup_past_the_enumeration_cap(capsys):
+    # fundamental, so walked over prime forms; enumerate_reduced refuses
+    # |D| > 1e10
     assert _run(capsys, "classgroup", "--disc", "-6006443827").splitlines() == [
         "disc,h,invariant_factors",
         "-6006443827,12639,12639",

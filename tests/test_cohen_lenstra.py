@@ -1,11 +1,13 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quadclass.abelian import AbelianGroup
 from quadclass.cohen_lenstra import (
     DivisibilityComparison,
     empirical_cl_comparison,
+    empirical_cl_comparisons,
     enumerate_groups,
     partial_average,
     predicted_divisibility,
@@ -13,10 +15,10 @@ from quadclass.cohen_lenstra import (
     weight,
     weighted_sum_coprime,
 )
-from quadclass.forms import is_fundamental
+from quadclass.forms import fundamental_mask, is_fundamental
 from quadclass.ntheory import factorize, primes_up_to
 
-from _oracles import class_number_by_box_scan, partition_count
+from _oracles import class_number_by_box_scan, partition_count, sweep_counts_by_strides
 
 
 def test_enumeration_counts_match_partition_product():
@@ -134,6 +136,22 @@ def test_empirical_comparison_small_against_box_scan():
     assert cmp3.count_divisible == divisible
     assert cmp3.empirical == Fraction(divisible, total)
     assert cmp3.abs_diff == abs(float(cmp3.empirical) - cmp3.predicted)
+
+
+def test_empirical_comparisons_from_one_pass_match_the_table():
+    # several primes in any order, and one past every class number (and
+    # past int64 indexing), against a full-array count on the oracle table
+    X = 30_000
+    h = np.where(fundamental_mask(X), sweep_counts_by_strides(X), 0)
+    ps = [7, 3, 5, 2**61 - 1, 2**64 + 13]
+    got = empirical_cl_comparisons(ps, X)
+    assert [cmp.p for cmp in got] == ps
+    for cmp in got:
+        want = np.count_nonzero((h > 0) & (h % cmp.p == 0)) if cmp.p < 2**31 else 0
+        assert (cmp.count_divisible, cmp.count_fundamental) == (want, np.count_nonzero(h))
+        assert cmp == empirical_cl_comparison(cmp.p, X)
+    with pytest.raises(ValueError):
+        empirical_cl_comparisons([3, 2], X)
 
 
 def test_empirical_comparison_reports_at_tiny_bound():

@@ -200,10 +200,11 @@ def test_reduce_coefficient_rejects_shared_factor():
 def test_find_witness_known_rows():
     hit = find_witness(-47, 2, 100)
     assert hit is not NOT_FOUND_UP_TO_BOUND
-    ell, coeff = hit
+    ell, coeff, degree = hit
     assert ell == 2
     assert isinstance(coeff, SplitCoefficient)
     assert not coeff_in_prime_field(coeff, 2)
+    assert degree == reduce_coefficient(coeff, 2).field_degree() == 2
 
     assert find_witness(-23, 2, 1000) is NOT_FOUND_UP_TO_BOUND
 
@@ -214,7 +215,7 @@ def test_find_witness_inert_coefficients_stay_inside():
         hit = find_witness(D, p, bound)
         if hit is NOT_FOUND_UP_TO_BOUND:
             continue
-        ell, coeff = hit
+        ell, coeff, _ = hit
         assert isinstance(coeff, SplitCoefficient)
         assert kronecker(D, ell) == 1
 

@@ -281,8 +281,9 @@ def test_witnesses_match_the_field_route():
             if got is NOT_FOUND_UP_TO_BOUND:
                 assert want is None, (-d, p)
             else:
-                ell, coeff = got
-                assert (ell, reduce_coefficient(coeff, p).field_degree()) == want, (-d, p)
+                ell, coeff, degree = got
+                assert degree == reduce_coefficient(coeff, p).field_degree()
+                assert (ell, degree) == want, (-d, p)
     assert pairs == 4572
 
 

@@ -109,7 +109,7 @@ def test_enumerate_reduced_refuses_past_cap():
     for D in (-(MAX_ENUMERATED_DISC + 3), -10**12, -10**19):
         with pytest.raises(ResourceLimitError, match="reduced-form budget"):
             enumerate_reduced(D)
-    # class_group takes the grid, and its cap, for non-fundamental D only;
+    # class_group enumerates, under the same cap, for non-fundamental D only;
     # the fundamental -(MAX_ENUMERATED_DISC + 3) is walked over prime forms
     for D in (-10**12, -10**19):
         with pytest.raises(ResourceLimitError, match="reduced-form budget"):
@@ -276,21 +276,21 @@ def _fundamental_discs_near(rng: random.Random, lo: int, count: int) -> list[int
     return sorted(discs, reverse=True)
 
 
-def _assert_walk_matches_grid(D: int) -> None:
+def _assert_walk_matches_enumeration(D: int) -> None:
     walked = structure_from_prime_forms(D, MAX_WALKED_CLASSES)
     assert walked == structure_from_forms(enumerate_reduced(D)), D
 
 
-def test_prime_form_walk_matches_grid_small_range():
+def test_prime_form_walk_matches_enumeration_small_range():
     # the whole record, generators included, on every fundamental |D| < 5000
     for d in np.flatnonzero(fundamental_mask(4999)).tolist():
-        _assert_walk_matches_grid(-d)
+        _assert_walk_matches_enumeration(-d)
 
 
-def test_non_fundamental_past_the_grid_cap_refused_without_a_walk(monkeypatch):
+def test_non_fundamental_past_the_enumeration_cap_refused_without_a_walk(monkeypatch):
     # D = -3 p^2, |D| ~ 1.2e13: h ~ p/3 is under the element cap, so a
     # walk would grow the whole ring class group before meeting p; the
-    # route is picked first and the grid refuses at once
+    # route is picked first and enumerate_reduced refuses at once
     def no_walk(*args, **kwargs):
         raise AssertionError("walked a non-fundamental D")
 
@@ -301,7 +301,7 @@ def test_non_fundamental_past_the_grid_cap_refused_without_a_walk(monkeypatch):
         class_group(D)
 
 
-def test_prime_form_walk_matches_grid_seeded():
+def test_prime_form_walk_matches_enumeration_seeded():
     rng = random.Random(20261020)
     discs = (
         _fundamental_discs_near(rng, 10**5, 20)
@@ -309,7 +309,7 @@ def test_prime_form_walk_matches_grid_seeded():
         + _fundamental_discs_near(rng, 10**8, 3)
     )
     for D in discs:
-        _assert_walk_matches_grid(D)
+        _assert_walk_matches_enumeration(D)
 
 
 @pytest.mark.parametrize(

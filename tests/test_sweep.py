@@ -1,5 +1,12 @@
+import hashlib
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from collections import Counter
+from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +27,6 @@ from _oracles import class_number_by_box_scan, sweep_counts_by_strides
 def _all_reduced_by_box_scan(n: int) -> int:
     # the sweep kernel counts every reduced form, primitive or not; on
     # fundamental discriminants the two notions coincide
-    from math import isqrt
-
     D = -n
     count = 0
     for a in range(1, isqrt(n // 3) + 1):
@@ -167,10 +172,12 @@ def test_table_is_int32_and_read_only():
 
 @pytest.mark.parametrize("X", [200_000, 1_100_003])
 def test_sweep_memory_within_budget(X):
-    # the int32 counts, plus at most _PATTERN_BUDGET int32 pattern entries
-    # and, per a, its prefix points (about X/36 int64 values) and pattern;
-    # 1_100_003 spans several blocks, so the discriminant-indexed sweep
-    # must run inside the output array, not beside a second one
+    # the int32 counts, plus at most _PATTERN_BUDGET uint16 pattern
+    # entries, then the prefix's two index buffers and one temporary (each
+    # at most X/36 or _PREFIX_TERMS + sqrt(X) int64 values); the uint16
+    # accumulator lives in the back half of the counts; 1_100_003 spans
+    # several blocks, so the discriminant-indexed sweep must run inside the
+    # output array, not beside a second one
     tracemalloc.start()
     try:
         sweep_counts(X, workers=1)
@@ -183,8 +190,9 @@ def test_sweep_memory_within_budget(X):
 @pytest.mark.parametrize("X", [200_000, 1_100_003])
 def test_table_build_memory_within_budget(monkeypatch, X):
     # from an empty store: the int32 table, the sweep's pattern rows, and
-    # at most 3 more bytes per |D| for the fundamental mask and its
-    # complement; no int64 array of length X+1
+    # 3 bytes per |D| of slack, too little for any int64 array of length
+    # X+1; the table is filtered in place, within the sweep's own bound
+    # (the next test)
     monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
     tracemalloc.start()
     try:
@@ -248,3 +256,141 @@ def test_range_cuts_at_every_residue(monkeypatch):
 @pytest.mark.parametrize("workers", [2, 3])
 def test_worker_ranges_match_strided_oracle(X, workers):
     assert np.array_equal(sweep_counts(X, workers=workers), sweep_counts_by_strides(X))
+
+
+def _largest_single_bound(limit: int) -> int:
+    # the most one add of the sweep to `limit` may put on an entry: one
+    # row of a, or a's prefix
+    ihi = sweep._half(limit + 1)
+    rows = [sweep._pattern_row(a)[2] for a in range(1, isqrt(ihi // 2) + 1)]
+    prefixes = [int(sweep._own_pattern(a).max()) for a in range(1, isqrt(2 * ihi // 3) + 1)]
+    return max(rows + prefixes)
+
+
+@pytest.mark.parametrize("limit", [40_000, 40_001, 40_002, 40_003])
+def test_accumulator_flushes_match_strided_oracle(monkeypatch, limit):
+    # with the accumulator's limit at the largest single add, the sweep
+    # flushes before nearly every add, across blocks, row groups and the
+    # prefix's runs of terms
+    monkeypatch.setattr(sweep, "_ACC_LIMIT", _largest_single_bound(limit))
+    monkeypatch.setattr(sweep, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(sweep, "_PATTERN_BUDGET", 1 << 12)
+    monkeypatch.setattr(sweep, "_PREFIX_TERMS", 1 << 6)
+    assert np.array_equal(sweep_counts(limit), sweep_counts_by_strides(limit))
+
+
+@pytest.mark.parametrize("scale", [1, 3, 40])
+def test_accumulator_never_passes_its_limit(monkeypatch, scale):
+    # at a limit of a few single adds, every flush finds each entry of the
+    # accumulator within the limit: the sweep reserved enough for each add
+    X = 200_003
+    limit = scale * _largest_single_bound(X)
+    flush = sweep._flush
+    seen = []
+
+    def checked(half, acc):
+        seen.append(int(acc.max()))
+        flush(half, acc)
+
+    monkeypatch.setattr(sweep, "_ACC_LIMIT", limit)
+    monkeypatch.setattr(sweep, "_flush", checked)
+    assert np.array_equal(sweep_counts(X), sweep_counts_by_strides(X))
+    assert len(seen) > 1 and max(seen) <= limit
+
+
+def test_accumulator_flushes_on_seeded_range_cuts(monkeypatch):
+    X = 60_002
+    want = sweep_counts_by_strides(X)
+    monkeypatch.setattr(sweep, "_ACC_LIMIT", _largest_single_bound(X))
+    monkeypatch.setattr(sweep, "_BLOCK", 1 << 12)
+    monkeypatch.setattr(sweep, "_PREFIX_TERMS", 1 << 6)
+    rng = random.Random(26)
+    for _ in range(4):
+        cuts = sorted({0, X + 1, *rng.sample(range(1, X + 1), 6)})
+        parts = [sweep._sweep_range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.array_equal(np.concatenate(parts), want), cuts
+
+
+def _largest_prefix_increment(a: int) -> int:
+    # by brute force over (b, c): the forms of a below n0 = 4a^2 + 4a,
+    # each c = a term weighing 1 and each c > a term 1 (b in {0, a}) or 2
+    at = Counter()
+    for b in range(a + 1):
+        c = a
+        while 4 * a * c - b * b < 4 * a * a + 4 * a:
+            at[(4 * a * c - b * b) >> 1] += 1 if c == a or b in (0, a) else 2
+            c += 1
+    return max(at.values())
+
+
+def _largest_row_increment(a: int) -> int:
+    # by brute force over (b, c): the forms of a, a/2, a/4, ... with
+    # c > a', over one period [i0, i0 + 2a) of the row of a, i0 = 2a^2 + 2a
+    i0, at = 2 * a * a + 2 * a, Counter()
+    sub = a
+    while True:
+        for b in range(sub + 1):
+            # the smallest c > sub with n = 4 sub c - b^2 >= 2 i0
+            c = max(sub + 1, -(-(2 * i0 + b * b) // (4 * sub)))
+            while (n := 4 * sub * c - b * b) >> 1 < i0 + 2 * a:
+                at[n >> 1] += 1 if b in (0, sub) else 2
+                c += 1
+        if sub % 2:
+            return max(at.values())
+        sub //= 2
+
+
+def test_accumulator_bounds_are_honest():
+    # what the sweep reserves for a's prefix and for its row is at least
+    # the most either really adds to one entry
+    for a in range(1, 401):
+        row, own, top = sweep._pattern_row(a)
+        assert own == int(sweep._own_pattern(a).max()), a
+        assert own >= _largest_prefix_increment(a), a
+        assert top >= _largest_row_increment(a), a
+        assert top == int(row.max()), a
+
+
+# sha256 of _sweep_range's int32 bytes, recorded with the int32 sweep that
+# preceded the uint16 accumulator
+RANGE_SHA256 = {
+    (0, 4_000_001): "7a16c6c587ed16c88221b7e8eff343946844b220a45ed2b54ced6daa4269411e",
+    (15_000_000, 16_000_000): "34a82f4ca46a91e2039d0727bf22350b9576d7753e68f392065190633b42be20",
+}
+
+
+@pytest.mark.parametrize("lo, hi", sorted(RANGE_SHA256))
+def test_sweep_range_bytes_pinned(lo, hi):
+    counts = sweep._sweep_range(lo, hi)
+    assert counts.dtype == np.int32
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == RANGE_SHA256[lo, hi]
+
+
+# most minor page faults of sweep_counts(X) in a fresh interpreter: half
+# the 3,895 at 1_100_003 and under half the 27,708 at 4e6 that the int32
+# sweep made before the uint16 accumulator, most of them from the point
+# by point part's per-a temporaries, which the heap maps, trims and
+# faults in again
+SWEEP_FAULT_BOUND = {1_100_003: 3_895 // 2, 4_000_000: 10_000}
+
+
+@pytest.mark.parametrize("X", sorted(SWEEP_FAULT_BOUND))
+def test_sweep_page_faults_in_a_fresh_interpreter(X):
+    # the prefix reuses buffers sized once
+    code = (
+        "import resource, sys\n"
+        "from quadclass.sweep import sweep_counts\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "sweep_counts(int(sys.argv[1]))\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(sweep.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(X)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert int(out.stdout) <= SWEEP_FAULT_BOUND[X]

@@ -18,7 +18,9 @@ _sweep_range(lo, hi) sweeps [lo, hi) in two parts.  From i0 on it
 walks the range in L2-sized blocks and adds each a's pattern, tiled to
 a row of at least _MIN_ROW entries, as one reshaped 2D add per block.
 The row of a also carries a/2, a/4, ... (their periods divide 2a), so a
-adds its own row only until the row of 2a takes over at i0(2a).  Rows
+adds its own row only until the row of 2a takes over at i0(2a), and
+the row of 2a is a's own pattern plus one period of a's row, kept from
+when that row was built until then (about 0.4 MB at 4e6).  Rows
 are held for one group of consecutive a at a time, in one buffer of
 _PATTERN_BUDGET entries: one large block that goes back to the system
 when the sweep ends, where hundreds of small rows would leave the heap
@@ -33,21 +35,24 @@ The sweep runs in the front half of the n-indexed output array, which
 is then spread out in place, top down, to n = 2i + (i & 1), with the
 n = 1, 2 (mod 4) entries zeroed, so no second full-length array is held.
 
-Every add goes into a uint16 accumulator, not into the int32 counts: a
-2D add of uint16 rows moves half the bytes, and took 0.08 ns an entry
-against 0.19-0.30 ns in int32 on a 2-vCPU x86-64 host.  The accumulator
-lives in the back half of the output array, which holds nothing until
-the spread (a range of a few entries, with no room there, takes an
-array of its own), and is added into the int32 front half and zeroed
-whenever it could pass 65535, and once at the end.  It cannot overflow:
-each add has a bound on what it puts on any one entry, and the sweep
-flushes before the bounds summed since the last flush pass
-_ACC_LIMIT.  A row puts at most its largest weight on an entry.  The
-prefix of a puts at most the largest weight of a's own pattern: each b
-has one term on each n = -b^2 mod 4a, weighing what b weighs in that
-pattern or, for c = a, 1.  The bounds sum to 9,967 at 1e6, 23,078 at
+The counts are uint16, and every add goes into a uint16 accumulator: a
+2D add of uint16 rows moves half the bytes of an int32 add, and took
+0.08 ns an entry against 0.19-0.30 ns in int32 on a 2-vCPU x86-64 host.
+The accumulator lives in the back half of the output array, which
+holds nothing until the spread (the array takes up to two spare
+entries where a range has more discriminants than other n), and is
+added into the front half and zeroed whenever it could pass 65535, and
+once at the end.  The accumulator cannot overflow: each add has a
+bound on what it puts on any one entry, and the sweep flushes before
+the bounds summed since the last flush pass _ACC_LIMIT.  A row puts
+at most its largest weight on an entry.  The prefix of a puts at most
+the largest weight of a's own pattern: each b has one term on each
+n = -b^2 mod 4a, weighing what b weighs in that pattern or, for c = a,
+1.  The bounds sum to 9,967 at 1e6, 23,078 at
 4e6 and 52,815 at 1.6e7 (the largest counts are 1,868, 3,918 and
 8,303), so up to 1.6e7 the accumulator is flushed only at the end.
+A count passes 65535 only near |D| ~ 1e9, in a 2 GB table; a flush
+refuses it with ntheory.ResourceLimitError rather than wrap.
 
 The kernel counts all reduced forms, primitive or not.  Fundamental
 discriminants admit no imprimitive forms (a common factor g of
@@ -58,10 +63,10 @@ once, in place: forms.keep_fundamental zeroes the counts of the
 non-fundamental |D| (the strike of the odd prime squares and the
 mod-16 residue pattern that also build forms.fundamental_mask), so no
 mask of length X is made.  The result is the single class-number table
-every scan reads, as int32 (4 bytes per |D|; h stays far below 2^31 at
-any reachable X); the raw counter is exposed for tests.  class_numbers
-also owns the class-data budget (its budget argument overrides the
-cap), and batch_class_numbers only lists the table's nonzero entries.
+every scan reads, as uint16 (2 bytes per |D|); the raw counter is
+exposed for tests.  class_numbers also owns the class-data budget (its
+budget argument overrides the cap), and batch_class_numbers only lists
+the table's nonzero entries.
 
 The table's consumers read it through blocks(), _BLOCK entries at a
 time, so none of their temporaries has the table's length.  That
@@ -86,18 +91,18 @@ from math import isqrt
 import numpy as np
 
 from .forms import _reduced_triples, keep_fundamental
-from .ntheory import check_budget
+from .ntheory import ResourceLimitError, check_budget
 
 #: The sweep kernel in use; numpy is the only one.
 BACKEND = "numpy"
 
 
 #: Largest X accepted by class_numbers without an explicit budget
-#: override.  The table alone is 4(X+1) bytes (int32).
+#: override.  The table alone is 2(X+1) bytes (uint16).
 DEFAULT_CLASS_DATA_BUDGET = 4_000_000
 
-#: Entries one block covers, inside L2: 1 MiB of the int32 table, 512 KiB
-#: of the sweep's uint16 accumulator.
+#: Entries one block covers, inside L2: 512 KiB of the uint16 table or
+#: of the sweep's accumulator.
 _BLOCK = 1 << 18
 #: Pattern-row entries held at once, in one buffer (512 KiB of uint16);
 #: the rows of one group of consecutive a are added over every block
@@ -124,19 +129,21 @@ def _own_pattern(a: int) -> np.ndarray:
     return np.bincount(i, minlength=2 * a) + np.bincount(i[1:a], minlength=2 * a)
 
 
-def _pattern_row(a: int) -> tuple[np.ndarray, int, int]:
+def _pattern_row(a: int, halves: dict) -> tuple[np.ndarray, int, int]:
     """(row, own, top): the periodic weights of a, a/2, a/4, ... at
     i mod 2a, tiled to a uint16 row of k + 1 periods with k * 2a >=
     _MIN_ROW; the largest weight of a alone; the largest in the row.
 
-    A halving a' = a / 2^j repeats with a period 2a' in i that divides 2a.
-    """
+    The halvings of an even a are those of a/2 and a/2 itself, whose
+    period 2(a/2) = a divides 2a, so its row is a's own weights plus the
+    first period of a/2's row, tiled twice.  That period is taken out of
+    halves when it is there, and built again when it is not."""
     own = _own_pattern(a)
-    pattern, sub, reps = own.copy(), a, 1
-    while sub % 2 == 0:
-        sub, reps = sub // 2, reps * 2
-        pattern += np.tile(_own_pattern(sub), reps)
-    row = np.tile(pattern.astype(np.uint16), -(-_MIN_ROW // (2 * a)) + 1)
+    pattern = own.astype(np.uint16)
+    if a % 2 == 0:
+        half = halves.pop(a // 2, None)
+        pattern += np.tile(_pattern_row(a // 2, {})[0][:a] if half is None else half, 2)
+    row = np.tile(pattern, -(-_MIN_ROW // (2 * a)) + 1)
     return row, int(own.max()), int(pattern.max())
 
 
@@ -197,7 +204,7 @@ def _spread(counts: np.ndarray, lo: int, ilo: int, size: int) -> None:
     overwrite an entry not yet read; each block goes through one buffer
     because its own targets may overlap it.
     """
-    buf = np.empty(min(size, _BLOCK), dtype=np.int32)
+    buf = np.empty(min(size, _BLOCK), dtype=counts.dtype)
     for s in range((size - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
         chunk = buf[: min(size - s, _BLOCK)]
         chunk[:] = counts[s : s + chunk.size]
@@ -232,10 +239,22 @@ def _add_rows(acc: np.ndarray, ilo: int, ihi: int, group: list) -> None:
             acc[i : e - ilo] += row[phase : phase + e - ilo - i]
 
 
-def _flush(half: np.ndarray, acc: np.ndarray) -> None:
-    """Add the uint16 accumulator into the int32 counts and zero it."""
-    np.add(half, acc, out=half)
-    acc.fill(0)
+def _flush(half: np.ndarray, acc: np.ndarray, ilo: int) -> None:
+    """Add the uint16 accumulator into the uint16 counts half[i - ilo]
+    and zero it.  An entry that wraps past 65535 is exactly one that ends
+    up below the accumulator value added to it; that is checked a block
+    at a time, so that no temporary has the table's length, and refused
+    with ResourceLimitError naming the first |D| whose count passed."""
+    for s in range(0, half.size, _BLOCK):
+        block, add = half[s : s + _BLOCK], acc[s : s + _BLOCK]
+        block += add
+        if np.any(block < add):
+            i = ilo + s + int(np.argmax(block < add))
+            raise ResourceLimitError(
+                f"the count at |D| = {2 * i + (i & 1)} exceeds "
+                f"{np.iinfo(half.dtype).max}, the class-number table's largest entry"
+            )
+        add.fill(0)
 
 
 def _sweep_half(half: np.ndarray, acc: np.ndarray, ilo: int, ihi: int) -> None:
@@ -250,7 +269,7 @@ def _sweep_half(half: np.ndarray, acc: np.ndarray, ilo: int, ihi: int) -> None:
         # flush could then pass _ACC_LIMIT
         nonlocal used
         if used + bound > _ACC_LIMIT:
-            _flush(half, acc)
+            _flush(half, acc, ilo)
             used = 0
         used += bound
 
@@ -261,12 +280,15 @@ def _sweep_half(half: np.ndarray, acc: np.ndarray, ilo: int, ihi: int) -> None:
         a += 1
     # a < sqrt(ihi / 2), and a row has fewer than 4a + _MIN_ROW entries
     store = np.empty(max(_PATTERN_BUDGET, 4 * isqrt(ihi // 2) + _MIN_ROW), dtype=np.uint16)
-    own = {}
+    own, halves = {}, {}
     group, held, top = [], 0, 0
     while True:
         more = 2 * a * a + 2 * a < ihi
         if more:
-            row, own[a], peak = _pattern_row(a)
+            row, own[a], peak = _pattern_row(a, halves)
+            if 8 * a * a + 4 * a < ihi:
+                # the row of 2a is built later and starts from this period
+                halves[a] = row[: 2 * a].copy()
         # a row adds at most its peak to an entry, so a group adds at most
         # the sum of its rows' peaks, which must fit in acc
         if group and (not more or held + row.size > store.size or top + peak > _ACC_LIMIT):
@@ -292,35 +314,34 @@ def _sweep_half(half: np.ndarray, acc: np.ndarray, ilo: int, ihi: int) -> None:
         reserve(own[a] if a in own else int(_own_pattern(a).max()))
         _add_prefix(acc, ilo, ihi, a, ramp, buf)
         a -= 1
-    _flush(half, acc)
+    _flush(half, acc, ilo)
 
 
 def _sweep_range(lo: int, hi: int) -> np.ndarray:
     """counts[n - lo] = number of reduced forms with 4ac - b^2 = n, for
-    n in [lo, hi), as int32."""
-    # zeroed by a write, not by calloc: the sweep's first touch of a page
-    # is a read, which would map the zero page and fault again on the write
-    counts = np.empty(max(hi - lo, 0), dtype=np.int32)
-    counts.fill(0)
-    if hi <= 3:
-        return counts
+    n in [lo, hi), as uint16."""
     # n = 4ac - b^2 is 0 or 3 mod 4, so i = n >> 1 indexes the
     # discriminants alone: sweep them into the front of counts, then
     # spread them out to their n
+    length = max(hi - lo, 0)
     ilo, ihi = _half(lo), _half(hi)
-    size = ihi - ilo
-    # the sweep adds in uint16, in the back half of counts, which holds
-    # nothing until the spread; a range of a few entries has no room there
-    back = counts[size:].view(np.uint16)
-    acc = back[:size] if back.size >= size else np.zeros(size, dtype=np.uint16)
-    _sweep_half(counts[:size], acc, ilo, ihi)
-    _spread(counts, lo, ilo, size)
-    return counts
+    size = max(ihi - ilo, 0)
+    # the sweep adds in the back half of counts, which holds nothing until
+    # the spread; up to two more n of a range are discriminants than not
+    # (3 and 4 both are), so counts takes up to two spare entries.  Zeroed
+    # by a write, not by calloc: the sweep's first touch of a page is a
+    # read, which would map the zero page and fault again on the write
+    counts = np.empty(max(length, 2 * size), dtype=np.uint16)
+    counts.fill(0)
+    if hi > 3:
+        _sweep_half(counts[:size], counts[size : 2 * size], ilo, ihi)
+        _spread(counts[:length], lo, ilo, size)
+    return counts[:length]
 
 
 def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
     """counts[n] = number of reduced forms of discriminant -n, n <= limit,
-    as int32.
+    as uint16; a count past 65535 raises ResourceLimitError.
 
     No fundamentality or primitivity filtering; see class_numbers.
     """
@@ -334,7 +355,7 @@ def sweep_counts(limit: int, workers: int = 1) -> np.ndarray:
 
     # the work below n grows like n^(3/2), so these cuts share it evenly
     cuts = [round(size * (i / workers) ** (2 / 3)) for i in range(workers + 1)]
-    counts = np.empty(size, dtype=np.int32)
+    counts = np.empty(size, dtype=np.uint16)
     with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as pool:
         for lo, hi, part in zip(cuts, cuts[1:], pool.map(_sweep_range, cuts[:-1], cuts[1:])):
             counts[lo:hi] = part
@@ -357,14 +378,15 @@ def count_reduced_forms(abs_disc: int) -> int:
 
 
 # h[n] = h(-n) for fundamental -n, 0 otherwise; read-only, grown on demand
-_store = np.zeros(0, dtype=np.int32)
+_store = np.zeros(0, dtype=np.uint16)
 
 
 def class_numbers(
     limit: int, workers: int = 1, budget: int | None = None
 ) -> np.ndarray:
-    """Read-only view h[0..limit] with h[n] = h(-n) for fundamental -n
-    and 0 otherwise, so h[n] > 0 exactly when -n is fundamental.
+    """Read-only uint16 view h[0..limit] with h[n] = h(-n) for
+    fundamental -n and 0 otherwise, so h[n] > 0 exactly when -n is
+    fundamental.  A count past 65535 raises ResourceLimitError.
 
     limit may not exceed budget, DEFAULT_CLASS_DATA_BUDGET when None.
     All callers share one table.  A sweep's count at n does not depend
@@ -393,9 +415,10 @@ def blocks(table: np.ndarray):
 
 def batch_class_numbers(limit: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(abs_discs, class_numbers): h(D) for every fundamental D with
-    |D| <= limit, as parallel int32 arrays ascending in |D|.  Every |D|
-    the class-data budget admits fits in int32, half the bytes of the
-    int64 indices np.nonzero gives; those are made one block at a time."""
+    |D| <= limit, as parallel arrays ascending in |D|, int32 and the
+    table's uint16.  Every |D| the class-data budget admits fits in
+    int32, half the bytes of the int64 indices np.nonzero gives; those
+    are made one block at a time."""
     if limit < 3:
         raise ValueError("limit must be at least 3")
     h = class_numbers(limit, workers=workers)

@@ -298,12 +298,12 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
     out = {}
     for workers in ("1", "2"):
         # an empty table, so that each run sweeps with its own worker count
-        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
         out[workers] = tmp_path / f"w{workers}.csv"
         argv = ["--workers", workers, "--output", str(out[workers]), "census"]
         assert main(argv + ["--max-abs-disc", "3000", "--orders", "2,4"]) == 0
         assert sweep._store.size == 3001
-        assert sweep._store.dtype == np.int32
+        assert sweep._store.dtype == np.uint16
     assert out["1"].read_bytes() == out["2"].read_bytes()
 
 
@@ -363,11 +363,12 @@ def _edge_values(dtype) -> list[int]:
 
 
 def _integer_table(n: int, seed: int) -> tuple[np.ndarray, ...]:
-    """An int32, an int64 and a uint64 column of n rows: each column's
-    edge values, then seeded values of every width, in seeded order."""
+    """An int32, a uint16, an int64 and a uint64 column of n rows: each
+    column's edge values, then seeded values of every width, in seeded
+    order."""
     rng = np.random.default_rng(seed)
     columns = []
-    for dtype in (np.int32, np.int64, np.uint64):
+    for dtype in (np.int32, np.uint16, np.int64, np.uint64):
         info = np.iinfo(dtype)
         edges = _edge_values(dtype)
         # shifting uniform draws right gives magnitudes of every width
@@ -409,17 +410,17 @@ def test_integer_runs_match_the_library_encoders(tmp_path, monkeypatch, fmt, run
     # 200 rows are 29 runs of 7, a run of 128 and a shorter one, or one
     # run of 4096
     monkeypatch.setattr(cli, "_RUN", run)
-    headers = ["disc", "h", "n"]
+    headers = ["disc", "h", "n", "m"]
     full = _integer_table(200, seed=rows + run)
     columns = tuple(c[:rows] for c in full)
     got = _emit_columns(tmp_path, fmt, headers, columns)
     assert got == _library_text(fmt, headers, columns)
     if rows == 0:
-        assert got == ("[]\n" if fmt == "json" else "disc,h,n\n")
+        assert got == ("[]\n" if fmt == "json" else "disc,h,n,m\n")
 
 
 def test_integer_runs_cover_every_edge_value(tmp_path):
-    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32, np.uint64):
+    for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
         column = np.array(_edge_values(dtype), dtype=dtype)
         for fmt in ("csv", "json"):
             got = _emit_columns(tmp_path, fmt, ["v"], (column,))
@@ -496,7 +497,7 @@ def _traced_peak(argv: list[str]) -> int:
 @pytest.fixture
 def table_1100003(monkeypatch):
     # an empty store, then a table for every bound the tests below read
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     sweep.class_numbers(1_100_003)
     _parser()
 
@@ -523,7 +524,7 @@ def test_table_consumers_across_block_boundaries(tmp_path, monkeypatch, X):
     # small blocks and runs, with X just below, on and just above a block
     # multiple; every consumer must agree with a full-array formula on the
     # oracle table
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     monkeypatch.setattr(sweep, "_BLOCK", 1 << 10)
     monkeypatch.setattr(cli, "_RUN", 100)
     h = np.where(fundamental_mask(X), sweep_counts_by_strides(X), 0)
@@ -559,6 +560,34 @@ def test_census_budget_override(capsys):
     assert out.splitlines()[0] == "order,count"
 
 
+def test_census_orders_past_the_table_type(capsys):
+    # the table is uint16: an order past 65535 matches no entry, and the
+    # comparison neither raises nor wraps (65537 would count the nine
+    # fields of class number 1)
+    out = _run(capsys, "census", "--max-abs-disc", "20000", "--orders", "1,65537,70000")
+    assert out.splitlines() == ["order,count", "1,9", "65537,0", "70000,0"]
+
+
+def test_count_past_the_table_type_exits_two_with_one_line(capsys, monkeypatch):
+    flush = sweep._flush
+
+    def full(half, acc, ilo):
+        # every count at the table's largest entry before the add: the
+        # first |D| the sweep counts a form of, 3, passes it
+        half.fill(np.iinfo(half.dtype).max)
+        flush(half, acc, ilo)
+
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
+    monkeypatch.setattr(sweep, "_flush", full)
+    assert main(["census", "--max-abs-disc", "1000", "--orders", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "quadclass: error: the count at |D| = 3 exceeds 65535, "
+        "the class-number table's largest entry"
+    ]
+
+
 def test_workers_capped_at_cpu_count(capsys, monkeypatch):
     # a small cap, so that a broken refusal starts three workers at most
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
@@ -574,7 +603,7 @@ def test_memory_error_exits_two_with_one_line(capsys, monkeypatch, message):
         raise MemoryError(message)
 
     # raised where the sweep would allocate, so nothing large is allocated
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     monkeypatch.setattr(sweep, "sweep_counts", exhausted)
     assert main(["census", "--budget", "100000", "--max-abs-disc", "100000", "--orders", "1"]) == 2
     captured = capsys.readouterr()

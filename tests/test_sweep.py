@@ -99,14 +99,15 @@ def test_prefix_stability():
 def test_worker_partition_invariance():
     one = sweep_counts(3000, workers=1)
     two = sweep_counts(3000, workers=2)
+    assert two.dtype == np.uint16
     assert np.array_equal(one, two)
 
 
 def test_batch_table_fundamental_only(monkeypatch):
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     discs, hs = batch_class_numbers(500)
-    assert sweep._store.dtype == np.int32
-    assert discs.dtype == np.int32 and hs.dtype == np.int32
+    assert sweep._store.dtype == np.uint16
+    assert discs.dtype == np.int32 and hs.dtype == np.uint16
     assert np.all(discs[:-1] < discs[1:])
     counts = sweep_counts(500)
     for d, h in zip(discs, hs):
@@ -119,6 +120,25 @@ def test_batch_table_fundamental_only(monkeypatch):
     again_discs, again_hs = batch_class_numbers(500)
     assert np.array_equal(again_discs, discs)
     assert np.array_equal(again_hs, hs)
+
+
+def test_flush_refuses_a_count_past_65535(monkeypatch):
+    # blocks of 4, so that the wrap is found past the first block; i = ilo
+    # + 6 is the first entry past 65535, at |D| = 2i + (i & 1) = 27
+    monkeypatch.setattr(sweep, "_BLOCK", 4)
+    half = np.full(10, 65000, dtype=np.uint16)
+    acc = np.zeros(10, dtype=np.uint16)
+    acc[[6, 9]] = 536
+    with pytest.raises(ResourceLimitError, match=r"\|D\| = 27 exceeds 65535"):
+        sweep._flush(half, acc, 7)
+
+
+def test_flush_reaches_65535_exactly(monkeypatch):
+    monkeypatch.setattr(sweep, "_BLOCK", 4)
+    half = np.arange(65526, 65536, dtype=np.uint16)
+    acc = np.arange(9, -1, -1, dtype=np.uint16)
+    sweep._flush(half, acc, 7)
+    assert np.all(half == 65535) and not acc.any()
 
 
 def test_budget_guard():
@@ -145,7 +165,7 @@ def _n0(a: int) -> int:
 )
 def test_sweep_matches_strided_oracle(limit):
     counts = sweep_counts(limit)
-    assert counts.dtype == np.int32
+    assert counts.dtype == np.uint16
     assert np.array_equal(counts, sweep_counts_by_strides(limit))
 
 
@@ -163,18 +183,18 @@ def test_range_cuts_inside_prefix_regions():
         assert np.array_equal(sweep_counts(X, workers=k), want), k
 
 
-def test_table_is_int32_and_read_only():
+def test_table_is_uint16_and_read_only():
     table = class_numbers(3000)
-    assert table.dtype == np.int32
+    assert table.dtype == np.uint16 and table.nbytes == 2 * 3001
     assert not table.flags.writeable
     assert np.array_equal(table, np.where(fundamental_mask(3000), sweep_counts_by_strides(3000), 0))
 
 
 @pytest.mark.parametrize("X", [200_000, 1_100_003])
 def test_sweep_memory_within_budget(X):
-    # the int32 counts, plus at most _PATTERN_BUDGET uint16 pattern
+    # the uint16 counts, plus at most _PATTERN_BUDGET uint16 pattern
     # entries, then the prefix's two index buffers and one temporary (each
-    # at most X/36 or _PREFIX_TERMS + sqrt(X) int64 values); the uint16
+    # at most X/36 or _PREFIX_TERMS + sqrt(X) int64 values); the
     # accumulator lives in the back half of the counts; 1_100_003 spans
     # several blocks, so the discriminant-indexed sweep must run inside the
     # output array, not beside a second one
@@ -184,43 +204,43 @@ def test_sweep_memory_within_budget(X):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
+    assert peak <= 2 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
 
 
 @pytest.mark.parametrize("X", [200_000, 1_100_003])
 def test_table_build_memory_within_budget(monkeypatch, X):
-    # from an empty store: the int32 table, the sweep's pattern rows, and
+    # from an empty store: the uint16 table, the sweep's pattern rows, and
     # 3 bytes per |D| of slack, too little for any int64 array of length
     # X+1; the table is filtered in place, within the sweep's own bound
     # (the next test)
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     tracemalloc.start()
     try:
         class_numbers(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + 3 * (X + 1)
+    assert peak <= 2 * (X + 1) + 4 * sweep._PATTERN_BUDGET + 3 * (X + 1)
 
 
 @pytest.mark.parametrize("X", [200_000, 1_100_003])
 def test_table_filter_allocates_nothing_beyond_the_sweep(monkeypatch, X):
-    # the non-fundamental entries are zeroed in the int32 table itself, so
+    # the non-fundamental entries are zeroed in the uint16 table itself, so
     # building the table stays within the sweep's own bound
-    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+    monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
     tracemalloc.start()
     try:
         class_numbers(X)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
+    assert peak <= 2 * (X + 1) + 4 * sweep._PATTERN_BUDGET + (X + 1)
 
 
 def test_table_filter_at_every_residue_mod_16(monkeypatch):
     # X + 1 entries end at every phase of the 16-entry residue pattern
     for X in range(20_000, 20_016):
-        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.int32))
+        monkeypatch.setattr(sweep, "_store", np.zeros(0, dtype=np.uint16))
         want = np.where(fundamental_mask(X), sweep_counts_by_strides(X), 0)
         assert np.array_equal(class_numbers(X), want), X
 
@@ -262,7 +282,7 @@ def _largest_single_bound(limit: int) -> int:
     # the most one add of the sweep to `limit` may put on an entry: one
     # row of a, or a's prefix
     ihi = sweep._half(limit + 1)
-    rows = [sweep._pattern_row(a)[2] for a in range(1, isqrt(ihi // 2) + 1)]
+    rows = [sweep._pattern_row(a, {})[2] for a in range(1, isqrt(ihi // 2) + 1)]
     prefixes = [int(sweep._own_pattern(a).max()) for a in range(1, isqrt(2 * ihi // 3) + 1)]
     return max(rows + prefixes)
 
@@ -288,9 +308,9 @@ def test_accumulator_never_passes_its_limit(monkeypatch, scale):
     flush = sweep._flush
     seen = []
 
-    def checked(half, acc):
+    def checked(half, acc, ilo):
         seen.append(int(acc.max()))
-        flush(half, acc)
+        flush(half, acc, ilo)
 
     monkeypatch.setattr(sweep, "_ACC_LIMIT", limit)
     monkeypatch.setattr(sweep, "_flush", checked)
@@ -344,15 +364,28 @@ def test_accumulator_bounds_are_honest():
     # what the sweep reserves for a's prefix and for its row is at least
     # the most either really adds to one entry
     for a in range(1, 401):
-        row, own, top = sweep._pattern_row(a)
+        row, own, top = sweep._pattern_row(a, {})
         assert own == int(sweep._own_pattern(a).max()), a
         assert own >= _largest_prefix_increment(a), a
         assert top >= _largest_row_increment(a), a
         assert top == int(row.max()), a
 
 
-# sha256 of _sweep_range's int32 bytes, recorded with the int32 sweep that
-# preceded the uint16 accumulator
+def test_rows_from_kept_halvings_match_rows_from_scratch():
+    # in sweep order, as _sweep_half keeps them: a's period is kept while
+    # the row of 2a is still to come, and taken out when it is built
+    halves = {}
+    for a in range(1, 401):
+        kept = sweep._pattern_row(a, halves)
+        if 2 * a <= 400:
+            halves[a] = kept[0][: 2 * a].copy()
+        assert kept[1:] == sweep._pattern_row(a, {})[1:], a
+        assert np.array_equal(kept[0], sweep._pattern_row(a, {})[0]), a
+    assert halves == {}
+
+
+# sha256 of _sweep_range's counts as int32 bytes, recorded with the int32
+# sweep that preceded the uint16 accumulator and table
 RANGE_SHA256 = {
     (0, 4_000_001): "7a16c6c587ed16c88221b7e8eff343946844b220a45ed2b54ced6daa4269411e",
     (15_000_000, 16_000_000): "34a82f4ca46a91e2039d0727bf22350b9576d7753e68f392065190633b42be20",
@@ -362,8 +395,8 @@ RANGE_SHA256 = {
 @pytest.mark.parametrize("lo, hi", sorted(RANGE_SHA256))
 def test_sweep_range_bytes_pinned(lo, hi):
     counts = sweep._sweep_range(lo, hi)
-    assert counts.dtype == np.int32
-    assert hashlib.sha256(counts.tobytes()).hexdigest() == RANGE_SHA256[lo, hi]
+    assert counts.dtype == np.uint16
+    assert hashlib.sha256(counts.astype(np.int32).tobytes()).hexdigest() == RANGE_SHA256[lo, hi]
 
 
 # most minor page faults of sweep_counts(X) in a fresh interpreter: half
